@@ -63,11 +63,9 @@ from .liealg import (
 from .numeric import (
     GridConfig,
     NumericSpectrum,
-    Scheme,
     eigen_lowest,
     fd_hamiltonian,
     numeric_spectrum,
-    sturm_count,
 )
 from .report import (
     Tolerances,
@@ -125,11 +123,9 @@ __all__ = [
     "recurrence_coeffs",
     "GridConfig",
     "NumericSpectrum",
-    "Scheme",
     "eigen_lowest",
     "fd_hamiltonian",
     "numeric_spectrum",
-    "sturm_count",
     "Tolerances",
     "ValidationReport",
     "cross_validate",

@@ -1,46 +1,40 @@
 """Independent finite-difference eigensolver used to cross-check the algebra.
 
-The 1-D operator -d^2/dx^2 + V(x) is discretized on an interior grid with
-Dirichlet walls: a truncated interval [-L, L] for the hyperbolic geometry
-(the exp(-g cosh^2 x) decay makes truncation error negligible for modest L)
-and the open cell (-pi/2, pi/2) for the trigonometric one, where the tan^2
-barrier acts as an impenetrable wall.
+The 1-D operator -d^2/dx^2 + V(x) is discretized by central second
+differences on an interior grid, giving a symmetric tridiagonal matrix
+whose lowest eigenvalues come from LAPACK bisection
+(``scipy.linalg.eigh_tridiagonal``).  Eigenvectors (needed for parity
+detection) are obtained by inverse iteration on the shifted tridiagonal
+system.
 
-Eigenvalues come from Sturm-sequence counting plus bisection; the counting
-pass is vectorized over shifts, and independent problems sharing a grid can
-be stacked and solved together.  Eigenvectors (needed for parity detection)
-are obtained by inverse iteration on the shifted tridiagonal system.
+The hyperbolic geometry uses a truncated interval [-L, L] with Dirichlet
+walls; the exp(-g cosh^2 x) decay makes truncation error negligible for
+modest L.  The trigonometric geometry uses the open cell (-pi/2, pi/2) and
+factors psi = cos^s(x) phi with s = min(eta, 1) out of the wavefunction,
+which removes the attractive part of the eta (eta - 1) tan^2 x term for
+eta < 1 and leaves the repulsive part for eta > 1.  The factored operator
+-(w phi')'/w + W phi with w = cos^2s(x) is symmetrised on the grid, so its
+eigenvectors are psi at the nodes.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from .core import Geometry, ModelParams, Parity, eval_potential
+from .core import Geometry, ModelParams, Parity, eval_potential, potential_coefficients
 from .errors import ConvergenceError
 
 DEFAULT_POINTS_HYPERBOLIC = 6000
-DEFAULT_POINTS_TRIGONOMETRIC = 12000
+DEFAULT_POINTS_TRIGONOMETRIC = 16000
 DEFAULT_HALF_WIDTH = 3.0
 GRID_ENV_VAR = "QES_GRID_POINTS"
 #: accept a mirror overlap as decisive parity evidence beyond this magnitude
 PARITY_THRESHOLD = 0.9
-_MAX_BISECTIONS = 200
-
-
-class Scheme(enum.Enum):
-    CENTRAL2 = "central2"
-    NUMEROV = "numerov"
-
-    @property
-    def convergence_order(self) -> int:
-        return 2 if self is Scheme.CENTRAL2 else 4
 
 
 @dataclass(frozen=True)
@@ -50,8 +44,6 @@ class GridConfig:
 
     half_width: float
     points: int
-    scheme: Scheme = Scheme.CENTRAL2
-    richardson: bool = False
 
     def __post_init__(self):
         if self.points < 100:
@@ -62,15 +54,14 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class NumericSpectrum:
-    """Lowest levels with parities and per-level error estimates."""
+    """Lowest levels with their mirror parities (None when undecided)."""
 
     energies: np.ndarray
     parities: list
-    residuals: np.ndarray
 
 
 class SymTridiagonal:
-    """Symmetric tridiagonal operator (central second differences)."""
+    """Symmetric tridiagonal operator."""
 
     def __init__(self, diag, off):
         self.diag = np.asarray(diag, dtype=float)
@@ -82,16 +73,6 @@ class SymTridiagonal:
     def size(self) -> int:
         return self.diag.size
 
-    def bracket(self):
-        rad = np.zeros_like(self.diag)
-        rad[:-1] += np.abs(self.off)
-        rad[1:] += np.abs(self.off)
-        return float(np.min(self.diag - rad)), float(np.max(self.diag + rad))
-
-    def count_below(self, lams) -> np.ndarray:
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        return _sturm_pass(self.diag[None, :], (self.off * self.off)[None, :], lams[None, :])[0]
-
     def shifted_banded(self, lam: float) -> np.ndarray:
         n = self.size
         ab = np.zeros((3, n))
@@ -101,132 +82,19 @@ class SymTridiagonal:
         return ab
 
 
-class NumerovPencil:
-    """Fourth-order compact discretization as a generalized pencil.
-
-    The eigenproblem is A psi = E B psi with tridiagonal A, B; counting uses
-    the pivot recurrence on X(E) = A - E B, whose inertia matches that of
-    the (symmetric, dense) equivalent standard form because B is positive
-    definite and commutes with the difference operator.
-    """
-
-    def __init__(self, v, h):
-        self.v = np.asarray(v, dtype=float)
-        self.h = float(h)
-
-    @property
-    def size(self) -> int:
-        return self.v.size
-
-    def bracket(self):
-        pad = 6.0 / (self.h * self.h) + 1.0
-        return float(np.min(self.v) - 1.0), float(np.max(self.v) + pad)
-
-    def _entries(self, lams):
-        inv_h2 = 1.0 / (self.h * self.h)
-        diag = 2.0 * inv_h2 + (10.0 / 12.0) * (self.v[:, None] - lams[None, :])
-        off = -inv_h2 + (self.v[:, None] - lams[None, :]) / 12.0
-        return diag, off
-
-    def count_below(self, lams) -> np.ndarray:
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        diag, off = self._entries(lams)
-        # the sub/super pair between rows i-1 and i multiplies to
-        # off[i-1] * off[i]; row entries use the potential of their own row
-        prod = off[:-1, :] * off[1:, :]
-        d = diag[0]
-        count = (d < 0).astype(np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(1, self.size):
-                d = diag[i] - prod[i - 1] / d
-                d = np.where(d == 0.0, -1e-300, d)
-                count += d < 0
-        return count
-
-    def shifted_banded(self, lam: float) -> np.ndarray:
-        inv_h2 = 1.0 / (self.h * self.h)
-        n = self.size
-        ab = np.zeros((3, n))
-        ab[1, :] = 2.0 * inv_h2 + (10.0 / 12.0) * (self.v - lam)
-        ab[0, 1:] = -inv_h2 + (self.v[1:] - lam) / 12.0
-        ab[2, :-1] = -inv_h2 + (self.v[:-1] - lam) / 12.0
-        return ab
-
-
-def _sturm_pass(diags, offsq, lams):
-    """Negative-pivot counts for stacked problems.
-
-    diags: (B, n); offsq: (B, n-1); lams: (B, m) -> counts (B, m).
-    """
-    d = diags[:, [0]] - lams
-    d = np.where(d == 0.0, -1e-300, d)
-    count = (d < 0).astype(np.int64)
-    n = diags.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, n):
-            d = diags[:, [i]] - lams - offsq[:, [i - 1]] / d
-            d = np.where(d == 0.0, -1e-300, d)
-            count += d < 0
-    return count
-
-
-def sturm_count(op, lam: float) -> int:
-    """Number of eigenvalues of ``op`` strictly below ``lam``."""
-    return int(op.count_below(np.array([lam]))[0])
-
-
-def _bisect(count_fn, brackets_lo, brackets_hi, m: int, tol: float | None):
-    b = brackets_lo.shape[0]
-    targets = np.arange(1, m + 1)[None, :]
-    los = np.repeat(brackets_lo[:, None], m, axis=1)
-    his = np.repeat(brackets_hi[:, None], m, axis=1)
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (los + his)
-        counts = count_fn(mid)
-        go_down = counts >= targets
-        his = np.where(go_down, mid, his)
-        los = np.where(go_down, los, mid)
-        width = his - los
-        goal = (tol if tol is not None else 1e-10) * np.maximum(
-            1.0, np.maximum(np.abs(los), np.abs(his))
-        )
-        if np.all(width <= goal):
-            return 0.5 * (los + his)
-    raise ConvergenceError("bisection failed to reach the requested tolerance")
-
-
-def eigen_lowest(op, m: int, tol: float | None = None) -> np.ndarray:
-    """The ``m`` smallest eigenvalues by Sturm counting and bisection.
-
-    The interval for each eigenvalue is narrowed until its width falls
-    below ``tol * max(1, |lambda|)`` (default 1e-10).
-    """
+def eigen_lowest(op: SymTridiagonal, m: int) -> np.ndarray:
+    """The ``m`` smallest eigenvalues, ascending."""
     if m > op.size:
         raise ValueError(f"requested {m} eigenvalues from an operator of size {op.size}")
-    lo, hi = op.bracket()
-
-    def count_fn(mids):
-        return op.count_below(mids.ravel()).reshape(mids.shape)
-
-    return _bisect(count_fn, np.array([lo]), np.array([hi]), m, tol)[0]
+    return eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, m - 1))
 
 
-def eigen_lowest_batch(ops, m: int, tol: float | None = None) -> np.ndarray:
-    """Solve several same-size central-difference operators in one sweep."""
-    if not ops:
-        return np.zeros((0, m))
-    n = ops[0].size
-    for op in ops:
-        if not isinstance(op, SymTridiagonal) or op.size != n:
-            raise ValueError("batch solving requires same-size central-difference operators")
-    diags = np.stack([op.diag for op in ops])
-    offsq = np.stack([op.off * op.off for op in ops])
-    los = np.array([op.bracket()[0] for op in ops])
-    his = np.array([op.bracket()[1] for op in ops])
-    return _bisect(lambda mids: _sturm_pass(diags, offsq, mids), los, his, m, tol)
+def eigen_lowest_batch(ops, m: int) -> np.ndarray:
+    """``eigen_lowest`` of each operator, stacked into rows."""
+    return np.stack([eigen_lowest(op, m) for op in ops])
 
 
-def eigenvector(op, lam: float, iterations: int = 3, seed: int = 7) -> np.ndarray:
+def eigenvector(op: SymTridiagonal, lam: float, iterations: int = 3, seed: int = 7) -> np.ndarray:
     """Inverse iteration at the converged shift ``lam``."""
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(op.size)
@@ -253,28 +121,49 @@ def mirror_parity(vec: np.ndarray) -> Parity | None:
 
 
 def interior_grid(half_width: float, points: int):
-    """Interior abscissae and spacing for Dirichlet walls at +-half_width."""
+    """Interior abscissae and spacing for walls at +-half_width."""
     h = 2.0 * half_width / points
     xs = -half_width + h * np.arange(1, points)
     return xs, h
 
 
-def fd_operator(v_values, h: float, scheme: Scheme = Scheme.CENTRAL2):
+def fd_operator(v_values, h: float) -> SymTridiagonal:
     """Discrete Hamiltonian from sampled potential values (Dirichlet ends)."""
     v_values = np.asarray(v_values, dtype=float)
-    if scheme is Scheme.CENTRAL2:
-        inv_h2 = 1.0 / (h * h)
-        return SymTridiagonal(2.0 * inv_h2 + v_values, np.full(v_values.size - 1, -inv_h2))
-    return NumerovPencil(v_values, h)
+    inv_h2 = 1.0 / (h * h)
+    return SymTridiagonal(2.0 * inv_h2 + v_values, np.full(v_values.size - 1, -inv_h2))
 
 
-def fd_hamiltonian(params: ModelParams, grid: GridConfig):
+def _trig_operator(params: ModelParams, points: int) -> SymTridiagonal:
+    """The cell operator after factoring psi = cos^s(x) phi, s = min(eta, 1).
+
+    The wall fluxes are zero: for eta < 1 the factored phi stays finite at
+    the walls, so a Dirichlet condition on it would be wrong.  s is capped
+    at 1 because the weight ratios grow like 1.5^2s next to the walls, and
+    LAPACK bisection is only accurate to eps times the largest entry.
+    """
+    coef = potential_coefficients(params)
+    s = min(params.eta, 1.0)
+    xs, h = interior_grid(math.pi / 2, points)
+    c = np.cos(xs)
+    c_half = np.cos(xs[:-1] + 0.5 * h)
+    inv_h2 = 1.0 / (h * h)
+    # flux weight w_{i+1/2} over w_i and w_{i+1}; the walls carry none
+    left = np.append(0.0, (c_half / c[1:]) ** (2 * s))
+    right = np.append((c_half / c[:-1]) ** (2 * s), 0.0)
+    c2 = c * c
+    w_pot = (coef.quartic * c2 * c2 + coef.quadratic * c2
+             + max(coef.centrifugal, 0.0) * np.tan(xs) ** 2 + s)
+    off = -inv_h2 * (c_half / np.sqrt(c[:-1] * c[1:])) ** (2 * s)
+    return SymTridiagonal(inv_h2 * (left + right) + w_pot, off)
+
+
+def fd_hamiltonian(params: ModelParams, grid: GridConfig) -> SymTridiagonal:
     """Discretized Schroedinger operator for the model potential."""
-    half = grid.half_width
     if params.geometry is Geometry.TRIGONOMETRIC:
-        half = math.pi / 2
-    xs, h = interior_grid(half, grid.points)
-    return fd_operator(eval_potential(params, xs), h, grid.scheme)
+        return _trig_operator(params, grid.points)
+    xs, h = interior_grid(grid.half_width, grid.points)
+    return fd_operator(eval_potential(params, xs), h)
 
 
 def default_grid(params: ModelParams) -> GridConfig:
@@ -284,47 +173,30 @@ def default_grid(params: ModelParams) -> GridConfig:
         points = int(env) if env else DEFAULT_POINTS_HYPERBOLIC
         return GridConfig(half_width=DEFAULT_HALF_WIDTH, points=points)
     points = int(env) if env else DEFAULT_POINTS_TRIGONOMETRIC
-    return GridConfig(half_width=math.pi / 2, points=points, richardson=True)
-
-
-def _solve_once(params: ModelParams, grid: GridConfig, m: int):
-    op = fd_hamiltonian(params, grid)
-    return op, eigen_lowest(op, m)
+    return GridConfig(half_width=math.pi / 2, points=points)
 
 
 def numeric_spectrum(params: ModelParams, m: int = 8, grid: GridConfig | None = None) -> NumericSpectrum:
-    """Lowest ``m`` levels with parities; optional Richardson refinement.
+    """Lowest ``m`` levels with parities.
 
     The hyperbolic half-width is widened automatically until the wall value
     of the potential clears ten times the largest requested level.
     """
     if grid is None:
         grid = default_grid(params)
-
-    if params.geometry is Geometry.HYPERBOLIC:
-        for _ in range(8):
-            op, energies = _solve_once(params, grid, m)
-            wall = eval_potential(params, grid.half_width)
-            if wall > 10.0 * max(abs(energies[-1]), 1.0):
-                break
-            grid = replace(grid, half_width=grid.half_width + 0.5)
-        else:
-            raise ConvergenceError("could not find a wide-enough hyperbolic box")
+    for _ in range(8):
+        op = fd_hamiltonian(params, grid)
+        energies = eigen_lowest(op, m)
+        if params.geometry is Geometry.TRIGONOMETRIC:
+            break
+        wall = eval_potential(params, grid.half_width)
+        if wall > 10.0 * max(abs(energies[-1]), 1.0):
+            break
+        grid = replace(grid, half_width=grid.half_width + 0.5)
     else:
-        op, energies = _solve_once(params, grid, m)
+        raise ConvergenceError("could not find a wide-enough hyperbolic box")
 
-    if grid.richardson:
-        fine = replace(grid, points=2 * grid.points)
-        op, fine_energies = _solve_once(params, fine, m)
-        weight = 2.0 ** grid.scheme.convergence_order
-        extrapolated = (weight * fine_energies - energies) / (weight - 1.0)
-        residuals = np.abs(fine_energies - energies)
-        energies = extrapolated
-    else:
-        residuals = np.full(m, np.nan)
-
-    parities = [mirror_parity(eigenvector(op, lam)) for lam in
-                (fine_energies if grid.richardson else energies)]
+    parities = [mirror_parity(eigenvector(op, lam)) for lam in energies]
     if not np.all(np.diff(energies) > 0):
         raise ConvergenceError("numeric spectrum is not strictly increasing")
-    return NumericSpectrum(energies=energies, parities=parities, residuals=residuals)
+    return NumericSpectrum(energies=energies, parities=parities)

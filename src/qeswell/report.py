@@ -234,29 +234,6 @@ def cross_validate(
 # comparison tables
 # ---------------------------------------------------------------------------
 
-def _batched_column_spectra(params_list, m, grid):
-    """Numeric spectra for same-geometry columns solved in one sweep."""
-    ops = [numeric.fd_hamiltonian(p, grid) for p in params_list]
-    coarse = numeric.eigen_lowest_batch(ops, m)
-    if grid.richardson:
-        fine_grid = replace(grid, points=2 * grid.points)
-        fine_ops = [numeric.fd_hamiltonian(p, fine_grid) for p in params_list]
-        fine = numeric.eigen_lowest_batch(fine_ops, m)
-        weight = 2.0 ** grid.scheme.convergence_order
-        energies = (weight * fine - coarse) / (weight - 1.0)
-        residuals = np.abs(fine - coarse)
-        vec_ops, vec_vals = fine_ops, fine
-    else:
-        energies = coarse
-        residuals = np.full_like(coarse, np.nan)
-        vec_ops, vec_vals = ops, coarse
-    spectra = []
-    for op, evs, row, res in zip(vec_ops, vec_vals, energies, residuals):
-        parities = [numeric.mirror_parity(numeric.eigenvector(op, lam)) for lam in evs]
-        spectra.append(numeric.NumericSpectrum(energies=row, parities=parities, residuals=res))
-    return spectra
-
-
 def reproduce_table(
     table_id: int,
     gamma: float = 2.0,
@@ -281,17 +258,9 @@ def reproduce_table(
     grid = numeric.default_grid(params_list[0])
     if grid_points is not None:
         grid = replace(grid, points=grid_points)
-    spectra = _batched_column_spectra(params_list, levels, grid)
-    if geometry is Geometry.HYPERBOLIC:
-        # recompute any column whose truncation wall is too low for the
-        # requested levels (auto-widening is per column there)
-        for i, (p, s) in enumerate(zip(params_list, spectra)):
-            wall = eval_potential(p, grid.half_width)
-            if wall <= 10.0 * max(abs(s.energies[-1]), 1.0):
-                spectra[i] = numeric.numeric_spectrum(p, m=levels, grid=grid)
-
     columns = []
-    for params, spectrum in zip(params_list, spectra):
+    for params in params_list:
+        spectrum = numeric.numeric_spectrum(params, m=levels, grid=grid)
         qes = heun.qes_energies_via_determinant(params)
         matched = {}
         for e_qes in qes:

@@ -65,9 +65,11 @@ class TestSpectrum:
 
 class TestCheck:
     def test_pass_exit_zero(self, capsys):
-        code, out, _ = run(capsys, "check", *BASE, "--order", "1")
-        assert code == 0
-        assert "overall: PASS" in out
+        trig_half = ["--geometry", "trig", "--family", "tf1", "--gamma", "2", "--eta", "0.5"]
+        for argv in ([*BASE, "--order", "1"], [*trig_half, "--order", "0"]):
+            code, out, _ = run(capsys, "check", *argv)
+            assert code == 0, argv
+            assert "overall: PASS" in out
 
     def test_fail_exit_one(self, capsys):
         # discretization bias keeps the numeric embedding above 1e-15
