@@ -11,7 +11,8 @@ termination system of the equivalent confluent-Heun form (see
 :mod:`qeswell.heun`): energies come from the determinant condition and each
 level's polynomial is the kernel vector of the termination matrix, which
 stays well defined even when the forward series recurrence hits a zero
-pivot.
+pivot.  The Bethe roots of a level are the eigenvalues of its polynomial's
+companion matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     ModelParams,
     Normalization,
     WavefunctionSamples,
-    coupling_v1,
     normalize_samples,
 )
 from .errors import DomainError
@@ -80,40 +80,14 @@ class QesSpectrum:
 
 
 def che_local_coeffs(params: ModelParams) -> CheLocalForm:
-    """Local-form coefficients for the family's f-equation."""
-    g, e = params.gamma, params.eta
-    v1 = coupling_v1(params)
-    pole0 = e + 0.5 if params.family in (Family.TF1, Family.TF2) else 1.5 - e
-    pole1 = 0.5 if params.family in (Family.TF1, Family.TF3) else 1.5
-
-    if params.geometry is Geometry.HYPERBOLIC:
-        if params.family is Family.TF1:
-            s0 = heun.AffineMap(-0.25, -(e + 2 * g * (2 * e + 1)) / 4)
-            s1 = heun.AffineMap(0.25, (e - v1 - 2 * g * (2 * g + 1)) / 4)
-        elif params.family is Family.TF2:
-            s0 = heun.AffineMap(-0.25, -(3 * e + 2 * g * (2 * e + 1) + 1) / 4)
-            s1 = heun.AffineMap(0.25, (3 * e - v1 - 2 * g * (2 * g + 3) + 1) / 4)
-        elif params.family is Family.TF3:
-            s0 = heun.AffineMap(-0.25, -(-e + 2 * g * (3 - 2 * e) + 1) / 4)
-            s1 = heun.AffineMap(0.25, (-e - v1 - 2 * g * (2 * g + 1) + 1) / 4)
-        else:
-            s0 = heun.AffineMap(-0.25, -(-3 * e + 2 * g * (3 - 2 * e) + 4) / 4)
-            s1 = heun.AffineMap(0.25, (-3 * e - v1 - 2 * g * (2 * g + 3) + 4) / 4)
-    else:
-        # trigonometric: handled families are TF1/TF2 (ModelParams enforces)
-        if params.family is Family.TF1:
-            s0 = heun.AffineMap(0.25, (-e - 2 * g * (2 * e + 1)) / 4)
-            s1 = heun.AffineMap(-0.25, -(-e - v1 + 2 * g * (2 * g + 1)) / 4)
-        else:
-            s0 = heun.AffineMap(0.25, (-3 * e - 2 * g * (2 * e + 1) - 1) / 4)
-            s1 = heun.AffineMap(-0.25, -(-3 * e - v1 + 2 * g * (2 * g + 3) - 1) / 4)
-
+    """Local-form coefficients for the family's f-equation, read off :func:`heun.match_che`."""
+    che = heun.match_che(params)
     return CheLocalForm(
-        drift_constant=-2.0 * g,
-        pole0_drift=pole0,
-        pole1_drift=pole1,
-        pole0_source=s0,
-        pole1_source=s1,
+        drift_constant=che.alpha,
+        pole0_drift=1.0 + che.beta,
+        pole1_drift=1.0 + che.gamma_star,
+        pole0_source=che.mu_of_e,
+        pole1_source=che.nu_of_e,
     )
 
 

@@ -9,7 +9,9 @@ whose series coefficients obey a three-term recurrence.  Truncation to a
 degree-N polynomial requires two conditions: the coupling identity
 mu + nu + N alpha = 0 (enforced by the family's V1) and the vanishing of a
 tridiagonal determinant Delta_{N+1}(mu), whose roots give the solvable
-energies through the affine map mu(E).
+energies through the affine map mu(E).  The roots are the eigenvalues of the
+companion matrix K, taken by :func:`qeswell.rootfind.three_term_roots` and
+Newton-polished on the determinant recurrence.
 """
 
 from __future__ import annotations
@@ -164,102 +166,11 @@ def delta_determinant(che: CheParams, mu: float) -> float:
     return d
 
 
-def _delta_with_derivative(che: CheParams, mu):
-    diag, sup, sub = _companion_arrays(che)
-    d_prev, d = 1.0, mu - diag[0]
-    dp_prev, dp = 0.0, 1.0
-    for i in range(1, diag.size):
-        coupling = sup[i - 1] * sub[i - 1]
-        d_prev, d = d, (mu - diag[i]) * d - coupling * d_prev
-        dp_prev, dp = dp, d_prev + (mu - diag[i]) * dp - coupling * dp_prev
-    return d, dp
-
-
-def _polish_mu(che: CheParams, mu, steps: int = 4):
-    """A few Newton corrections on the exact determinant recurrence."""
-    for _ in range(steps):
-        val, der = _delta_with_derivative(che, mu)
-        if der == 0:
-            break
-        step = val / der
-        mu = mu - step
-        if abs(step) <= 1e-15 * (1.0 + abs(mu)):
-            break
-    return mu
-
-
-def _delta_polynomial_t(che: CheParams):
-    """Monic-degree interpolation of Delta on Chebyshev nodes.
-
-    Returns (ascending coefficients in the scaled variable t, mid, half)
-    with mu = mid + half * t, or None when the Chebyshev-to-monomial
-    conversion amplifies coefficients beyond 1e8.
-    """
-    diag, sup, sub = _companion_arrays(che)
-    rad = np.zeros_like(diag)
-    rad[:-1] += np.abs(sup)
-    rad[1:] += np.abs(sub)
-    lo = float(np.min(diag - rad)) - 1.0
-    hi = float(np.max(diag + rad)) + 1.0
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-    deg = che.order + 1
-    t_nodes = np.cos(np.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))
-    vals = np.array([delta_determinant(che, mid + half * t) for t in t_nodes])
-    cheb = np.polynomial.chebyshev.chebfit(t_nodes, vals, deg)
-    poly_t = np.polynomial.chebyshev.cheb2poly(cheb)
-    cheb_scale = np.max(np.abs(cheb))
-    if cheb_scale == 0 or np.max(np.abs(poly_t)) / cheb_scale > 1e8:
-        return None
-    return poly_t, mid, half
-
-
-def _acceptable_roots(che: CheParams, candidates) -> bool:
-    """True when every candidate is a tight, isolated root of Delta.
-
-    Tightness is judged by the relative Newton step on the exact recurrence
-    (scale free, unlike a raw residual); near-duplicates signal that the
-    interpolated polynomial lost roots to conditioning.
-    """
-    for r in candidates:
-        val, der = _delta_with_derivative(che, r)
-        step = abs(val) if der == 0 else abs(val / der)
-        if step > 1e-6 * (1.0 + abs(r)):
-            return False
-    spread = 1.0 + max(abs(r) for r in candidates)
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            if abs(candidates[i] - candidates[j]) < 1e-10 * spread:
-                return False
-    return True
-
-
-def _mu_roots(che: CheParams):
-    """All roots of Delta_{N+1}, via interpolation or the matrix fallback."""
-    roots = None
-    fitted = _delta_polynomial_t(che)
-    if fitted is not None:
-        poly_t, mid, half = fitted
-        candidates = mid + half * rootfind.aberth_roots(poly_t)
-        if _acceptable_roots(che, candidates):
-            roots = candidates
-    if roots is None:
-        diag, sup, sub = _companion_arrays(che)
-        k = np.diag(diag)
-        for i in range(diag.size - 1):
-            k[i, i + 1] = sup[i]
-            k[i + 1, i] = sub[i]
-        roots = np.linalg.eigvals(k)
-    return np.array([_polish_mu(che, r) for r in roots])
-
-
 def energy_roots(params: ModelParams):
     """(sorted real solvable energies, leftover complex pairs)."""
     che = match_che(params)
-    mu_roots = _mu_roots(che)
-    energies = np.array([che.mu_of_e.invert(m) for m in mu_roots])
-    real, complex_rest = rootfind.split_real(energies)
-    return real, complex_rest
+    diag, sup, sub = _companion_arrays(che)
+    return rootfind.split_real(che.mu_of_e.invert(rootfind.three_term_roots(diag, sup * sub)))
 
 
 def qes_energies_via_determinant(params: ModelParams) -> np.ndarray:

@@ -9,9 +9,11 @@ three-term recurrence
     P_{k+1} = (E - b_k) P_k - a_k P_{k-1},   P_0 = 1,
 
 whose critical polynomial P_{N+1} vanishes exactly at the solvable
-energies.  Each family selects a sector constant sigma; the ratio
-eta(eta-1)/(sigma-eta-1) appearing throughout is replaced by per-family
-closed forms so the exceptional eta values stay regular.
+energies; they are found as the eigenvalues of the recurrence's tridiagonal
+matrix by :func:`qeswell.rootfind.three_term_roots`.  Each family selects a
+sector constant sigma; the ratio eta(eta-1)/(sigma-eta-1) appearing
+throughout is replaced by per-family closed forms so the exceptional eta
+values stay regular.
 """
 
 from __future__ import annotations
@@ -125,35 +127,14 @@ def critical_polynomial(params: ModelParams) -> np.ndarray:
     return cur
 
 
-def _critical_with_derivative(params: ModelParams, energy):
-    cur, cur_d = 1.0, 0.0
-    prev, prev_d = 0.0, 0.0
-    for k in range(params.order + 1):
-        a_k, b_k = recurrence_coeffs(params, k)
-        nxt = (energy - b_k) * cur - a_k * prev
-        nxt_d = cur + (energy - b_k) * cur_d - a_k * prev_d
-        prev, prev_d, cur, cur_d = cur, cur_d, nxt, nxt_d
-    return cur, cur_d
-
-
-def _polish_energy(params: ModelParams, energy, steps: int = 4):
-    """Newton corrections evaluated on the exact recurrence."""
-    for _ in range(steps):
-        val, der = _critical_with_derivative(params, energy)
-        if der == 0:
-            break
-        step = val / der
-        energy = energy - step
-        if abs(step) <= 1e-15 * (1.0 + abs(energy)):
-            break
-    return energy
-
-
 def energy_roots_via_recurrence(params: ModelParams):
-    """(sorted real roots, leftover complex pairs) of the critical polynomial."""
-    raw = rootfind.aberth_roots(critical_polynomial(params))
-    polished = np.array([_polish_energy(params, r) for r in raw])
-    return rootfind.split_real(polished)
+    """(sorted real roots, leftover complex pairs) of the critical polynomial.
+
+    The roots are the eigenvalues of the recurrence's tridiagonal matrix
+    (diagonal b_0..b_N, couplings a_1..a_N), polished on the recurrence.
+    """
+    a, b = np.array([recurrence_coeffs(params, k) for k in range(params.order + 1)]).T
+    return rootfind.split_real(rootfind.three_term_roots(b, a[1:]))
 
 
 def qes_energies_via_recurrence(params: ModelParams) -> np.ndarray:

@@ -129,8 +129,8 @@ def cross_validate(
     """Run every solver on ``params`` and compare the results.
 
     Checks: agreement of the three algebraic routes, sign-flipped equality
-    with the anti-isospectral partner (TF1/TF2 only), embedding of the
-    solvable energies in the independent numeric spectrum, and parity of
+    with the anti-isospectral partner (TF1/TF2 only), one-to-one embedding
+    of the solvable energies in the independent numeric spectrum, and parity of
     the matched numeric levels.  Solver failures are recorded as failed
     checks rather than raised.
     """
@@ -202,12 +202,14 @@ def cross_validate(
             if p is not None and p is not want_parity:
                 parity_ok = False
         max_dev = max(devs) if devs else 0.0
+        one_to_one = all(i < j for i, j in zip(matched_indices, matched_indices[1:]))
         checks.append(
             CheckResult(
                 "numeric_embedding",
-                max_dev <= tol_num,
+                max_dev <= tol_num and one_to_one,
                 deviation=max_dev,
-                detail="distance of each solvable energy to its nearest numeric level",
+                detail="distance of each solvable energy to its nearest numeric level; "
+                "ascending energies must match strictly ascending levels",
             )
         )
         checks.append(

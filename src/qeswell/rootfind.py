@@ -1,9 +1,13 @@
-"""Polynomial root extraction via Aberth-Ehrlich simultaneous iteration.
+"""Root extraction: the three-term eigen-kernel and companion-matrix roots.
 
-Coefficients are ascending (``p(z) = c[0] + c[1] z + ...``).  Degrees one
-and two are solved in closed form (the quadratic uses the sign trick to
-avoid cancellation); higher degrees run the simultaneous iteration in
-complex arithmetic.
+:func:`three_term_roots` returns every zero of a three-term determinant
+recurrence as the eigenvalues of a diagonally scaled tridiagonal matrix,
+Newton-polished on the recurrence itself; the algebraic energy routes end
+in such a determinant.  :func:`real_roots` takes the roots of a polynomial
+with ascending coefficients (``p(z) = c[0] + c[1] z + ...``) from its
+companion matrix.  The Aberth-Ehrlich iteration :func:`aberth_roots` has no
+caller in the package; it is kept for the benchmark's tracer, which wraps
+it by name.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ ABERTH_TOL = 1e-13
 ABERTH_MAX_ITER = 200
 #: roots with |Im z| <= REAL_TOL * (1 + |Re z|) are reported as real
 REAL_TOL = 1e-8
+#: Newton corrections applied to each eigenvalue of the three-term kernel
+POLISH_STEPS = 4
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -101,5 +107,42 @@ def split_real(roots, tol: float = REAL_TOL):
 
 
 def real_roots(coeffs, tol: float = REAL_TOL):
-    """Convenience wrapper: sorted real roots plus leftover complex ones."""
-    return split_real(aberth_roots(coeffs), tol=tol)
+    """Sorted real roots plus leftover complex ones, from the companion matrix."""
+    return split_real(np.polynomial.polynomial.polyroots(coeffs), tol=tol)
+
+
+def _three_term_with_derivative(diag, coupling, x):
+    """Final determinant d_n and its derivative at every point of ``x``."""
+    d_prev, d = np.ones_like(x), x - diag[0]
+    dp_prev, dp = np.zeros_like(x), np.ones_like(x)
+    for a, c in zip(diag[1:], coupling):
+        d_prev, d, dp_prev, dp = d, (x - a) * d - c * d_prev, dp, d + (x - a) * dp - c * dp_prev
+    return d, dp
+
+
+def three_term_roots(diag, coupling) -> np.ndarray:
+    """All zeros of d_n for d_{i+1} = (x - diag[i]) d_i - coupling[i-1] d_{i-1}, d_0 = 1.
+
+    The zeros are the eigenvalues of the tridiagonal matrix with ``diag``
+    on the diagonal and off-diagonals of magnitude sqrt|coupling|, the sign
+    of each coupling kept on the superdiagonal.  This scaling keeps the
+    matrix balanced; the plain (1, coupling) Jacobi form loses levels once
+    a coupling is exactly 0.  Each eigenvalue then gets at most
+    ``POLISH_STEPS`` Newton corrections on the recurrence, all roots at once.
+    """
+    diag = np.asarray(diag, dtype=float)
+    coupling = np.asarray(coupling, dtype=float)
+    off = np.sqrt(np.abs(coupling))
+    mat = np.diag(diag) + np.diag(np.copysign(off, coupling), 1) + np.diag(off, -1)
+    x = np.linalg.eigvals(mat).astype(complex)
+    active = np.arange(x.size)
+    for _ in range(POLISH_STEPS):
+        val, der = _three_term_with_derivative(diag, coupling, x[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = val / der
+        step[~np.isfinite(step)] = 0.0  # a zero or overflowed derivative stops that root
+        x[active] -= step
+        active = active[np.abs(step) > 1e-15 * (1.0 + np.abs(x[active]))]
+        if active.size == 0:
+            break
+    return x

@@ -74,6 +74,19 @@ class TestCrossValidate:
         names = {c.name for c in result.checks}
         assert "lie_solver" in names
 
+    def test_duplicate_level_match_fails(self, monkeypatch):
+        from qeswell import report as report_mod
+
+        ground = report_mod.heun.qes_energies_via_determinant(params(order=1))[0]
+        monkeypatch.setattr(
+            report_mod.heun, "qes_energies_via_determinant", lambda _: np.array([ground, ground])
+        )
+        result = cross_validate(params(order=1))
+        by_name = {c.name: c for c in result.checks}
+        assert result.matched_indices[0] == result.matched_indices[1]
+        assert by_name["numeric_embedding"].deviation < 1e-3
+        assert not by_name["numeric_embedding"].passed
+
 
 class TestTables:
     def test_columns_match_reference(self, table_battery):
