@@ -45,19 +45,19 @@ def _cmd_spectrum(args) -> int:
             "params": report.params_to_dict(params),
             "method": "numeric",
             "energies": spec.energies.tolist(),
-            "parities": [p.value if p else None for p in spec.parities],
+            "parities": [p.value for p in spec.parities],
         }
         if args.format == "json":
             print(json.dumps(payload, indent=2))
         elif args.format == "csv":
             rows = [["level", "energy", "parity"]] + [
-                [i, e, p.value if p else ""]
+                [i, e, p.value]
                 for i, (e, p) in enumerate(zip(spec.energies, spec.parities))
             ]
             _print_csv(rows)
         else:
             for i, (e, p) in enumerate(zip(spec.energies, spec.parities)):
-                print(f"E_{i} = {e:.6f}  [{p.value if p else '?'}]")
+                print(f"E_{i} = {e:.6f}  [{p.value}]")
         return 0
 
     if args.method == "all":

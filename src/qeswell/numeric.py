@@ -3,9 +3,19 @@
 The 1-D operator -d^2/dx^2 + V(x) is discretized by central second
 differences on an interior grid, giving a symmetric tridiagonal matrix
 whose lowest eigenvalues come from LAPACK bisection
-(``scipy.linalg.eigh_tridiagonal``).  Eigenvectors (needed for parity
-detection) are obtained by inverse iteration on the shifted tridiagonal
-system.
+(``scipy.linalg.eigh_tridiagonal``; scipy is imported on the first solve,
+so the algebraic routes never load it).
+
+Both potentials are even and the grid is mirror-symmetric, so the matrix
+splits exactly into an even and an odd block on the right half of the grid
+(``sector_operators``); each block is solved for its own share of the
+levels.  Every off-diagonal is negative, so by the discrete oscillation
+theorem the k-th level of the full matrix has k sign changes and parity
+(-1)^k: the levels alternate even, odd, even, ... from the ground state.
+The merged spectrum therefore carries its parities as sector labels, with
+no eigenvectors on the default path, and the two levels of a tunnelling
+doublet stay apart even where they tie in float64.  ``eigenvector``
+(inverse iteration) and ``mirror_parity`` measure a parity directly.
 
 The hyperbolic geometry uses a truncated interval [-L, L] with Dirichlet
 walls; the exp(-g cosh^2 x) decay makes truncation error negligible for
@@ -24,7 +34,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .core import Geometry, ModelParams, Parity, eval_potential, potential_coefficients
 from .errors import ConvergenceError
@@ -54,7 +63,8 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class NumericSpectrum:
-    """Lowest levels with their mirror parities (None when undecided)."""
+    """Lowest levels with their mirror parities, ascending up to float64 ties
+    within a tunnelling doublet."""
 
     energies: np.ndarray
     parities: list
@@ -84,6 +94,8 @@ class SymTridiagonal:
 
 def eigen_lowest(op: SymTridiagonal, m: int) -> np.ndarray:
     """The ``m`` smallest eigenvalues, ascending."""
+    from scipy.linalg import eigh_tridiagonal
+
     if m > op.size:
         raise ValueError(f"requested {m} eigenvalues from an operator of size {op.size}")
     return eigh_tridiagonal(op.diag, op.off, eigvals_only=True, select="i", select_range=(0, m - 1))
@@ -96,6 +108,8 @@ def eigen_lowest_batch(ops, m: int) -> np.ndarray:
 
 def eigenvector(op: SymTridiagonal, lam: float, iterations: int = 3, seed: int = 7) -> np.ndarray:
     """Inverse iteration at the converged shift ``lam``."""
+    from scipy.linalg import solve_banded
+
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(op.size)
     vec /= np.linalg.norm(vec)
@@ -118,6 +132,29 @@ def mirror_parity(vec: np.ndarray) -> Parity | None:
     if overlap < -PARITY_THRESHOLD:
         return Parity.ODD
     return None
+
+
+def sector_operators(op: SymTridiagonal) -> tuple[SymTridiagonal, SymTridiagonal]:
+    """The even and odd blocks of a mirror-symmetric operator, read off its
+    right half.  Their spectra together are the spectrum of ``op``.
+
+    With a centre node k, the even block couples it with sqrt(2) times the
+    off-diagonal (the symmetrised form of the mirrored neighbour), and the
+    odd block drops it.  Without one, the mirrored neighbour of the first
+    right-half node is that node itself (even) or its negative (odd).
+    """
+    n = op.size
+    k = n // 2
+    if n % 2:
+        even_off = op.off[k:].copy()
+        even_off[0] *= math.sqrt(2.0)
+        return (SymTridiagonal(op.diag[k:], even_off),
+                SymTridiagonal(op.diag[k + 1:], op.off[k + 1:]))
+    even_diag = op.diag[k:].copy()
+    odd_diag = op.diag[k:].copy()
+    even_diag[0] += op.off[k - 1]
+    odd_diag[0] -= op.off[k - 1]
+    return SymTridiagonal(even_diag, op.off[k:]), SymTridiagonal(odd_diag, op.off[k:])
 
 
 def interior_grid(half_width: float, points: int):
@@ -177,16 +214,19 @@ def default_grid(params: ModelParams) -> GridConfig:
 
 
 def numeric_spectrum(params: ModelParams, m: int = 8, grid: GridConfig | None = None) -> NumericSpectrum:
-    """Lowest ``m`` levels with parities.
+    """Lowest ``m`` levels with parities, merged from the two sector spectra.
 
     The hyperbolic half-width is widened automatically until the wall value
     of the potential clears ten times the largest requested level.
     """
     if grid is None:
         grid = default_grid(params)
+    energies = np.empty(m)
     for _ in range(8):
-        op = fd_hamiltonian(params, grid)
-        energies = eigen_lowest(op, m)
+        even, odd = sector_operators(fd_hamiltonian(params, grid))
+        energies[0::2] = eigen_lowest(even, (m + 1) // 2)
+        if m > 1:
+            energies[1::2] = eigen_lowest(odd, m // 2)
         if params.geometry is Geometry.TRIGONOMETRIC:
             break
         wall = eval_potential(params, grid.half_width)
@@ -196,7 +236,5 @@ def numeric_spectrum(params: ModelParams, m: int = 8, grid: GridConfig | None = 
     else:
         raise ConvergenceError("could not find a wide-enough hyperbolic box")
 
-    parities = [mirror_parity(eigenvector(op, lam)) for lam in energies]
-    if not np.all(np.diff(energies) > 0):
-        raise ConvergenceError("numeric spectrum is not strictly increasing")
+    parities = [Parity.ODD if i % 2 else Parity.EVEN for i in range(m)]
     return NumericSpectrum(energies=energies, parities=parities)

@@ -120,6 +120,20 @@ def _pairwise_deviation(sets):
     return dev
 
 
+def _sector_matches(spectrum: numeric.NumericSpectrum, qes, parity: Parity) -> list:
+    """For each solvable energy, the index of the nearest numeric level of
+    ``parity``; empty when the spectrum holds no level of that parity.
+
+    A family's solvable levels all lie in its parity sector, so a level of
+    the other sector is never a candidate, even when a tunnelling doublet
+    puts it closer.
+    """
+    sector = np.flatnonzero([p is parity for p in spectrum.parities])
+    if sector.size == 0:
+        return []
+    return [int(sector[np.argmin(np.abs(spectrum.energies[sector] - e))]) for e in qes]
+
+
 def cross_validate(
     params: ModelParams,
     tolerances: Tolerances | None = None,
@@ -191,16 +205,12 @@ def cross_validate(
             raise ValueError("no algebraic energies to embed")
         tol_num = tol.numeric_for(params.geometry)
         want_parity = family_parity(params.family)
-        devs = []
-        parity_ok = True
-        for e_qes in qes:
-            idx = int(np.argmin(np.abs(spectrum.energies - e_qes)))
-            matched_indices.append(idx)
-            p = spectrum.parities[idx]
-            matched_parities.append(p.value if p is not None else None)
-            devs.append(abs(float(spectrum.energies[idx]) - float(e_qes)))
-            if p is not None and p is not want_parity:
-                parity_ok = False
+        matched_indices.extend(_sector_matches(spectrum, qes, want_parity))
+        if len(matched_indices) != len(qes):
+            raise ValueError(f"no {want_parity.value} level among the {m} numeric levels")
+        devs = [abs(float(spectrum.energies[i]) - float(e)) for i, e in zip(matched_indices, qes)]
+        matched_parities.extend(spectrum.parities[i].value for i in matched_indices)
+        parity_ok = all(p == want_parity.value for p in matched_parities)
         max_dev = max(devs) if devs else 0.0
         one_to_one = all(i < j for i, j in zip(matched_indices, matched_indices[1:]))
         checks.append(
@@ -208,8 +218,8 @@ def cross_validate(
                 "numeric_embedding",
                 max_dev <= tol_num and one_to_one,
                 deviation=max_dev,
-                detail="distance of each solvable energy to its nearest numeric level; "
-                "ascending energies must match strictly ascending levels",
+                detail="distance of each solvable energy to its nearest numeric level "
+                "of the family's parity; ascending energies must match strictly ascending levels",
             )
         )
         checks.append(
@@ -264,10 +274,10 @@ def reproduce_table(
     for params in params_list:
         spectrum = numeric.numeric_spectrum(params, m=levels, grid=grid)
         qes = heun.qes_energies_via_determinant(params)
-        matched = {}
-        for e_qes in qes:
-            idx = int(np.argmin(np.abs(spectrum.energies - e_qes)))
-            matched[idx] = float(e_qes)
+        matched = {
+            idx: float(e_qes)
+            for idx, e_qes in zip(_sector_matches(spectrum, qes, family_parity(params.family)), qes)
+        }
         entries = []
         for i, e_num in enumerate(spectrum.energies):
             parity = spectrum.parities[i]
@@ -279,7 +289,7 @@ def reproduce_table(
                         qes_exact=True,
                         qes_value=matched[i],
                         deviation=abs(matched[i] - float(e_num)),
-                        parity=parity.value if parity else None,
+                        parity=parity.value,
                     )
                 )
             else:
@@ -290,7 +300,7 @@ def reproduce_table(
                         qes_exact=False,
                         qes_value=None,
                         deviation=None,
-                        parity=parity.value if parity else None,
+                        parity=parity.value,
                     )
                 )
         columns.append(TableColumn(family=params.family, order=params.order, entries=entries))

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
 
+import qeswell
 from qeswell.cli import main
 
 
@@ -14,6 +19,14 @@ def run(capsys, *argv):
 
 
 BASE = ["--geometry", "hyp", "--family", "tf1", "--gamma", "2", "--eta", "2"]
+
+
+def test_import_leaves_scipy_unloaded():
+    # only the numeric solver needs scipy; it imports it on its first solve
+    src = str(Path(qeswell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, qeswell.cli; sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestSpectrum:
@@ -66,7 +79,8 @@ class TestSpectrum:
 class TestCheck:
     def test_pass_exit_zero(self, capsys):
         trig_half = ["--geometry", "trig", "--family", "tf1", "--gamma", "2", "--eta", "0.5"]
-        for argv in ([*BASE, "--order", "1"], [*trig_half, "--order", "0"]):
+        # order 5 puts a tunnelling doublet at the ground state of the well
+        for argv in ([*BASE, "--order", "1"], [*BASE, "--order", "5"], [*trig_half, "--order", "0"]):
             code, out, _ = run(capsys, "check", *argv)
             assert code == 0, argv
             assert "overall: PASS" in out

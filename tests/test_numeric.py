@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ class TestOperators:
         assert numeric.mirror_parity(xs * np.exp(-(xs**2))) is Parity.ODD
         assert numeric.mirror_parity(np.exp(-((xs - 0.8) ** 2) * 20)) is None
 
+    @pytest.mark.parametrize("n", (9, 10))
+    def test_sector_blocks_hold_the_full_spectrum(self, rng, n):
+        half = rng.uniform(-1, 3, (n + 1) // 2)
+        diag = np.concatenate([half, half[: n // 2][::-1]])
+        half_off = -rng.uniform(0.1, 1, n // 2)
+        off = np.concatenate([half_off, half_off[: (n - 1) // 2][::-1]])
+        even, odd = numeric.sector_operators(numeric.SymTridiagonal(diag, off))
+        assert even.size == (n + 1) // 2 and odd.size == n // 2
+        sectors = np.concatenate([eigen_lowest(even, even.size), eigen_lowest(odd, odd.size)])
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert_allclose(np.sort(sectors), np.linalg.eigvalsh(dense), atol=1e-12)
+
     def test_request_too_many(self):
         op = numeric.SymTridiagonal([1.0, 2.0], [0.1])
         with pytest.raises(ValueError):
@@ -96,6 +109,23 @@ class TestModelSpectra:
         assert_allclose(spec.energies, expected, atol=5e-3)
         want = [Parity.EVEN, Parity.ODD] * 4
         assert spec.parities == want
+
+    # 6000 points leave an odd count of unknowns (a centre node), 6001 an even one
+    @pytest.mark.parametrize("m", (1, 2, 7, 8))
+    @pytest.mark.parametrize("points", (6000, 6001))
+    @pytest.mark.parametrize("geometry", (HYP, TRIG))
+    def test_sector_split_matches_full_solve(self, geometry, points, m):
+        p = params(geometry)
+        grid = replace(numeric.default_grid(p), points=points)
+        spec = numeric_spectrum(p, m=m, grid=grid)
+        assert_allclose(spec.energies, eigen_lowest(fd_hamiltonian(p, grid), m), rtol=1e-8)
+        assert spec.parities == ([Parity.EVEN, Parity.ODD] * m)[:m]
+
+    def test_degenerate_doublets_accepted(self):
+        # the deep N = 10 well has tunnelling doublets that tie in float64
+        spec = numeric_spectrum(params(order=10), m=24)
+        assert spec.energies.size == 24
+        assert spec.parities[:2] == [Parity.EVEN, Parity.ODD]
 
     def test_trig_column_small_grid(self):
         grid = GridConfig(half_width=math.pi / 2, points=3000)

@@ -126,6 +126,20 @@ class TestTables:
                     if e.qes_exact and e.parity is not None:
                         assert e.parity == want
 
+    # a tunnelling doublet puts the level of the other parity nearer to the
+    # exact energy than the level of the family's own parity
+    @pytest.mark.parametrize("table_id, gamma, eta, family, starred", (
+        (1, 0.5, 3.0, Family.TF1, (0, 2, 4)),
+        (3, 4.0, 0.5, Family.TF2, (1, 3, 5)),
+    ))
+    def test_doublet_starred_within_sector(self, table_id, gamma, eta, family, starred):
+        table = report.reproduce_table(table_id, gamma=gamma, eta=eta)
+        col = next(c for c in table.columns if c.family is family and c.order == 2)
+        assert tuple(i for i, e in enumerate(col.entries) if e.qes_exact) == starred
+        want = "odd" if family is Family.TF2 else "even"
+        assert all(col.entries[i].parity == want for i in starred)
+        assert all(col.entries[i].deviation < 1e-4 for i in starred)
+
     def test_spectra_not_globally_anti_isospectral(self, table_battery):
         # only the solvable subsets map to sign-flipped partners; the full
         # numeric spectra do not (guards against over-claiming)
