@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qeswell",
         description="Solvable spectra of the cosh^4 well and its cos^4 partner.",
-        epilog="Environment: QES_GRID_POINTS overrides the numeric grid point count.",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)

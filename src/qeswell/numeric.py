@@ -14,8 +14,12 @@ theorem the k-th level of the full matrix has k sign changes and parity
 (-1)^k: the levels alternate even, odd, even, ... from the ground state.
 The merged spectrum therefore carries its parities as sector labels, with
 no eigenvectors on the default path, and the two levels of a tunnelling
-doublet stay apart even where they tie in float64.  ``eigenvector``
-(inverse iteration) and ``mirror_parity`` measure a parity directly.
+doublet stay apart even where they tie in float64.  ``eigen_lowest_batch``,
+``eigenvector`` (inverse iteration), ``mirror_parity`` (a parity measured
+from an eigenvector), ``SymTridiagonal.shifted_banded`` and
+``PARITY_THRESHOLD`` have no caller in the package; they are kept only
+because the benchmark's tracer wraps the first three by name, and the last
+two serve them.
 
 The hyperbolic geometry uses a truncated interval [-L, L] with Dirichlet
 walls; the exp(-g cosh^2 x) decay makes truncation error negligible for
@@ -30,7 +34,6 @@ eigenvectors are psi at the nodes.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +44,6 @@ from .errors import ConvergenceError
 DEFAULT_POINTS_HYPERBOLIC = 6000
 DEFAULT_POINTS_TRIGONOMETRIC = 16000
 DEFAULT_HALF_WIDTH = 3.0
-GRID_ENV_VAR = "QES_GRID_POINTS"
 #: accept a mirror overlap as decisive parity evidence beyond this magnitude
 PARITY_THRESHOLD = 0.9
 
@@ -204,13 +206,10 @@ def fd_hamiltonian(params: ModelParams, grid: GridConfig) -> SymTridiagonal:
 
 
 def default_grid(params: ModelParams) -> GridConfig:
-    """Geometry defaults; ``QES_GRID_POINTS`` overrides the point count."""
-    env = os.environ.get(GRID_ENV_VAR)
+    """The grid of each geometry when the caller gives none."""
     if params.geometry is Geometry.HYPERBOLIC:
-        points = int(env) if env else DEFAULT_POINTS_HYPERBOLIC
-        return GridConfig(half_width=DEFAULT_HALF_WIDTH, points=points)
-    points = int(env) if env else DEFAULT_POINTS_TRIGONOMETRIC
-    return GridConfig(half_width=math.pi / 2, points=points)
+        return GridConfig(half_width=DEFAULT_HALF_WIDTH, points=DEFAULT_POINTS_HYPERBOLIC)
+    return GridConfig(half_width=math.pi / 2, points=DEFAULT_POINTS_TRIGONOMETRIC)
 
 
 def numeric_spectrum(params: ModelParams, m: int = 8, grid: GridConfig | None = None) -> NumericSpectrum:
@@ -219,6 +218,8 @@ def numeric_spectrum(params: ModelParams, m: int = 8, grid: GridConfig | None = 
     The hyperbolic half-width is widened automatically until the wall value
     of the potential clears ten times the largest requested level.
     """
+    if m < 1:
+        raise ValueError(f"need at least one level, got m={m}")
     if grid is None:
         grid = default_grid(params)
     energies = np.empty(m)

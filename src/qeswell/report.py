@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,25 +120,28 @@ def _pairwise_deviation(sets):
     return dev
 
 
-def _sector_matches(spectrum: numeric.NumericSpectrum, qes, parity: Parity) -> list:
-    """For each solvable energy, the index of the nearest numeric level of
-    ``parity``; empty when the spectrum holds no level of that parity.
+def _sector_matches(spectrum: numeric.NumericSpectrum, qes, parity: Parity) -> tuple[list, list, bool]:
+    """Embed the solvable energies ``qes`` in the ``parity`` levels of ``spectrum``.
 
-    A family's solvable levels all lie in its parity sector, so a level of
-    the other sector is never a candidate, even when a tunnelling doublet
-    puts it closer.
+    Returns the index of each energy's nearest level of ``parity``, each
+    energy's distance to that level, and whether ascending energies land on
+    strictly ascending levels.  A family's solvable levels all lie in its
+    parity sector, so a level of the other sector is never a candidate, even
+    when a tunnelling doublet puts it closer.  A sector with fewer levels
+    than there are energies matches none of them.
     """
     sector = np.flatnonzero([p is parity for p in spectrum.parities])
-    if sector.size == 0:
-        return []
-    return [int(sector[np.argmin(np.abs(spectrum.energies[sector] - e))]) for e in qes]
+    if sector.size < len(qes):
+        return [], [], False
+    indices = [int(sector[np.argmin(np.abs(spectrum.energies[sector] - e))]) for e in qes]
+    deviations = [abs(float(spectrum.energies[i]) - float(e)) for i, e in zip(indices, qes)]
+    return indices, deviations, all(i < j for i, j in zip(indices, indices[1:]))
 
 
 def cross_validate(
     params: ModelParams,
     tolerances: Tolerances | None = None,
     grid: numeric.GridConfig | None = None,
-    levels: int | None = None,
 ) -> ValidationReport:
     """Run every solver on ``params`` and compare the results.
 
@@ -198,25 +201,19 @@ def cross_validate(
 
     qes = algebraic.get("heun")
     try:
-        m = levels if levels is not None else 2 * params.order + 4
-        spectrum = numeric.numeric_spectrum(params, m=m, grid=grid)
+        spectrum = numeric.numeric_spectrum(params, m=2 * params.order + 4, grid=grid)
         energies["numeric"] = spectrum.energies.tolist()
         if qes is None:
             raise ValueError("no algebraic energies to embed")
-        tol_num = tol.numeric_for(params.geometry)
         want_parity = family_parity(params.family)
-        matched_indices.extend(_sector_matches(spectrum, qes, want_parity))
-        if len(matched_indices) != len(qes):
-            raise ValueError(f"no {want_parity.value} level among the {m} numeric levels")
-        devs = [abs(float(spectrum.energies[i]) - float(e)) for i, e in zip(matched_indices, qes)]
-        matched_parities.extend(spectrum.parities[i].value for i in matched_indices)
-        parity_ok = all(p == want_parity.value for p in matched_parities)
-        max_dev = max(devs) if devs else 0.0
-        one_to_one = all(i < j for i, j in zip(matched_indices, matched_indices[1:]))
+        indices, devs, one_to_one = _sector_matches(spectrum, qes, want_parity)
+        matched_indices.extend(indices)
+        matched_parities.extend(spectrum.parities[i].value for i in indices)
+        max_dev = max(devs, default=0.0)
         checks.append(
             CheckResult(
                 "numeric_embedding",
-                max_dev <= tol_num and one_to_one,
+                max_dev <= tol.numeric_for(params.geometry) and one_to_one,
                 deviation=max_dev,
                 detail="distance of each solvable energy to its nearest numeric level "
                 "of the family's parity; ascending energies must match strictly ascending levels",
@@ -225,7 +222,7 @@ def cross_validate(
         checks.append(
             CheckResult(
                 "parity_match",
-                parity_ok,
+                all(p == want_parity.value for p in matched_parities),
                 detail=f"matched numeric levels must be {want_parity.value}",
             )
         )
@@ -251,13 +248,14 @@ def reproduce_table(
     gamma: float = 2.0,
     eta: float = 2.0,
     levels: int = 8,
-    grid_points: int | None = None,
 ) -> TableReport:
     """Numeric-versus-algebraic comparison for one of the reference layouts.
 
     id 1: hyperbolic TF1/TF2; id 2: hyperbolic TF3/TF4; id 3: trigonometric
     TF1/TF2; orders 0..2 per family.  Entries matched to a solvable energy
-    display the exact algebraic value and are marked ``qes_exact``.
+    display the exact algebraic value and are marked ``qes_exact``.  Raises
+    ``ValueError`` when ``levels`` cannot hold a column's solvable levels on
+    distinct levels of the family's parity.
     """
     if table_id not in TABLE_LAYOUTS:
         raise ValueError(f"table id must be one of {sorted(TABLE_LAYOUTS)}")
@@ -267,42 +265,30 @@ def reproduce_table(
         for family in families
         for order in TABLE_ORDERS
     ]
-    grid = numeric.default_grid(params_list[0])
-    if grid_points is not None:
-        grid = replace(grid, points=grid_points)
     columns = []
     for params in params_list:
-        spectrum = numeric.numeric_spectrum(params, m=levels, grid=grid)
+        spectrum = numeric.numeric_spectrum(params, m=levels)
         qes = heun.qes_energies_via_determinant(params)
-        matched = {
-            idx: float(e_qes)
-            for idx, e_qes in zip(_sector_matches(spectrum, qes, family_parity(params.family)), qes)
-        }
+        indices, devs, one_to_one = _sector_matches(spectrum, qes, family_parity(params.family))
+        if not one_to_one:
+            raise ValueError(
+                f"{levels} levels cannot hold the {len(qes)} solvable levels of "
+                f"{params.family.value} N={params.order} one to one"
+            )
+        exact = {i: (float(e), dev) for i, e, dev in zip(indices, qes, devs)}
         entries = []
-        for i, e_num in enumerate(spectrum.energies):
-            parity = spectrum.parities[i]
-            if i in matched:
-                entries.append(
-                    TableEntry(
-                        value=matched[i],
-                        numeric=float(e_num),
-                        qes_exact=True,
-                        qes_value=matched[i],
-                        deviation=abs(matched[i] - float(e_num)),
-                        parity=parity.value,
-                    )
+        for i, (e_num, parity) in enumerate(zip(spectrum.energies, spectrum.parities)):
+            qes_value, deviation = exact.get(i, (None, None))
+            entries.append(
+                TableEntry(
+                    value=float(e_num) if qes_value is None else qes_value,
+                    numeric=float(e_num),
+                    qes_exact=qes_value is not None,
+                    qes_value=qes_value,
+                    deviation=deviation,
+                    parity=parity.value,
                 )
-            else:
-                entries.append(
-                    TableEntry(
-                        value=float(e_num),
-                        numeric=float(e_num),
-                        qes_exact=False,
-                        qes_value=None,
-                        deviation=None,
-                        parity=parity.value,
-                    )
-                )
+            )
         columns.append(TableColumn(family=params.family, order=params.order, entries=entries))
     return TableReport(
         table_id=table_id, geometry=geometry, gamma=gamma, eta=eta, columns=columns

@@ -77,13 +77,23 @@ class TestSpectrum:
 
 
 class TestCheck:
-    def test_pass_exit_zero(self, capsys):
-        trig_half = ["--geometry", "trig", "--family", "tf1", "--gamma", "2", "--eta", "0.5"]
-        # order 5 puts a tunnelling doublet at the ground state of the well
-        for argv in ([*BASE, "--order", "1"], [*BASE, "--order", "5"], [*trig_half, "--order", "0"]):
-            code, out, _ = run(capsys, "check", *argv)
-            assert code == 0, argv
-            assert "overall: PASS" in out
+    # order 5 at the paper's point puts a tunnelling doublet at the ground
+    # state of the hyperbolic well
+    @pytest.mark.parametrize("geometry, family, eta, order", (
+        ("hyp", "tf1", "2", "1"),
+        ("trig", "tf1", "0.5", "0"),
+        ("hyp", "tf1", "2", "5"),
+        ("hyp", "tf2", "2", "5"),
+        ("hyp", "tf3", "2", "5"),
+        ("hyp", "tf4", "2", "5"),
+        ("trig", "tf1", "2", "5"),
+        ("trig", "tf2", "2", "5"),
+    ))
+    def test_pass_exit_zero(self, capsys, geometry, family, eta, order):
+        code, out, _ = run(capsys, "check", "--geometry", geometry, "--family", family,
+                           "--gamma", "2", "--eta", eta, "--order", order)
+        assert code == 0
+        assert "overall: PASS" in out
 
     def test_fail_exit_one(self, capsys):
         # discretization bias keeps the numeric embedding above 1e-15
@@ -147,6 +157,17 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--id", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["table_id"] == 1
+
+
+@pytest.mark.parametrize("argv", (
+    ["spectrum", *BASE, "--order", "0", "--method", "numeric", "--levels", "0"],
+    ["table", "--id", "1", "--levels", "0"],
+    ["table", "--id", "1", "--levels", "5"],
+))
+def test_unusable_level_count_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "error" in err
 
 
 class TestHelp:

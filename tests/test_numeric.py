@@ -159,11 +159,10 @@ class TestModelSpectra:
             errors.append(abs(eigen_lowest(op, 1)[0] - (-22.0)))
         assert errors[0] / errors[1] >= 3.5
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(numeric.GRID_ENV_VAR, "4321")
-        assert numeric.default_grid(params()).points == 4321
-        monkeypatch.delenv(numeric.GRID_ENV_VAR)
-        assert numeric.default_grid(params()).points == numeric.DEFAULT_POINTS_HYPERBOLIC
+    @pytest.mark.parametrize("m", (0, -1))
+    def test_no_levels_requested(self, m):
+        with pytest.raises(ValueError, match="at least one level"):
+            numeric_spectrum(params(), m=m)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -154,6 +154,18 @@ class TestTables:
         assert "-22.000*" in text
         assert "TF1 N=0" in text
 
+    # fewer levels of the family's parity than its N+1 solvable levels: the
+    # nearest-level match would put two energies on one level
+    @pytest.mark.parametrize("levels, family", ((1, "TF1 N=1"), (5, "TF2 N=2")))
+    def test_too_few_levels_rejected(self, levels, family):
+        with pytest.raises(ValueError, match=family):
+            report.reproduce_table(1, levels=levels)
+
+    def test_six_levels_star_every_solvable_level(self):
+        for table_id in (1, 2, 3):
+            for col in report.reproduce_table(table_id, levels=6).columns:
+                assert sum(e.qes_exact for e in col.entries) == col.order + 1
+
     def test_invalid_id(self):
         with pytest.raises(ValueError):
             report.reproduce_table(4)
