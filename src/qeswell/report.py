@@ -138,11 +138,7 @@ def _sector_matches(spectrum: numeric.NumericSpectrum, qes, parity: Parity) -> t
     return indices, deviations, all(i < j for i, j in zip(indices, indices[1:]))
 
 
-def cross_validate(
-    params: ModelParams,
-    tolerances: Tolerances | None = None,
-    grid: numeric.GridConfig | None = None,
-) -> ValidationReport:
+def cross_validate(params: ModelParams, tolerances: Tolerances | None = None) -> ValidationReport:
     """Run every solver on ``params`` and compare the results.
 
     Checks: agreement of the three algebraic routes, sign-flipped equality
@@ -201,7 +197,7 @@ def cross_validate(
 
     qes = algebraic.get("heun")
     try:
-        spectrum = numeric.numeric_spectrum(params, m=2 * params.order + 4, grid=grid)
+        spectrum = numeric.numeric_spectrum(params, m=2 * params.order + 4)
         energies["numeric"] = spectrum.energies.tolist()
         if qes is None:
             raise ValueError("no algebraic energies to embed")

@@ -77,6 +77,23 @@ def test_oracle_sweep(geometry, family, order, gamma, eta):
         assert certified[key] is None, f"{name}: {certified[key]}"
 
 
+# high gamma at round eta: the recurrence coefficients are exact in float64,
+# so a miss here is the solver's, and a float64 polish misses most of these
+@pytest.mark.parametrize("eta", [1.0, 2.5])
+@pytest.mark.parametrize("order", [45, 50])
+@pytest.mark.parametrize("geometry,family", PAIRS, ids=lambda v: getattr(v, "value", v))
+def test_oracle_high_gamma(geometry, family, order, eta):
+    test_oracle_sweep(geometry, family, order, 3.5, eta)
+
+
+# the steepest inputs: three extended-precision Newton steps leave one
+# energy of each outside its bracket, four do not
+@pytest.mark.parametrize("eta", [2.0, 2.5])
+@pytest.mark.parametrize("geometry", [HYP, TRIG], ids=lambda v: v.value)
+def test_oracle_steepest(geometry, eta):
+    test_oracle_sweep(geometry, Family.TF1, 50, 4.0, eta)
+
+
 def test_bethe_levels_at_max_order_with_zero_coupling():
     # eta = 3/2 makes one coupling of the TF3 recurrence vanish exactly
     spec = solve_polynomial_system(ModelParams(HYP, Family.TF3, 1.0, 1.5, 50))

@@ -78,16 +78,15 @@ class TestSpectrum:
 
 class TestCheck:
     # order 5 at the paper's point puts a tunnelling doublet at the ground
-    # state of the hyperbolic well
+    # state of the hyperbolic well; orders 10 and 20 need the numeric levels
+    # accurate far up the spectrum
     @pytest.mark.parametrize("geometry, family, eta, order", (
         ("hyp", "tf1", "2", "1"),
         ("trig", "tf1", "0.5", "0"),
-        ("hyp", "tf1", "2", "5"),
-        ("hyp", "tf2", "2", "5"),
-        ("hyp", "tf3", "2", "5"),
-        ("hyp", "tf4", "2", "5"),
-        ("trig", "tf1", "2", "5"),
-        ("trig", "tf2", "2", "5"),
+        *((geometry, family, "2", order)
+          for order in ("5", "10", "20")
+          for geometry, family in (("hyp", "tf1"), ("hyp", "tf2"), ("hyp", "tf3"),
+                                   ("hyp", "tf4"), ("trig", "tf1"), ("trig", "tf2"))),
     ))
     def test_pass_exit_zero(self, capsys, geometry, family, eta, order):
         code, out, _ = run(capsys, "check", "--geometry", geometry, "--family", family,

@@ -110,15 +110,18 @@ class TestModelSpectra:
         want = [Parity.EVEN, Parity.ODD] * 4
         assert spec.parities == want
 
-    # 6000 points leave an odd count of unknowns (a centre node), 6001 an even one
+    # 6000 points leave an odd count of unknowns (a centre node), 6001 an even
+    # one; the doubled grid of either has a centre node
     @pytest.mark.parametrize("m", (1, 2, 7, 8))
     @pytest.mark.parametrize("points", (6000, 6001))
     @pytest.mark.parametrize("geometry", (HYP, TRIG))
     def test_sector_split_matches_full_solve(self, geometry, points, m):
         p = params(geometry)
-        grid = replace(numeric.default_grid(p), points=points)
+        grid = replace(numeric.default_grid(p, m), points=points)
         spec = numeric_spectrum(p, m=m, grid=grid)
-        assert_allclose(spec.energies, eigen_lowest(fd_hamiltonian(p, grid), m), rtol=1e-8)
+        coarse = eigen_lowest(fd_hamiltonian(p, grid), m)
+        fine = eigen_lowest(fd_hamiltonian(p, replace(grid, points=2 * points)), m)
+        assert_allclose(spec.energies, (4.0 * fine - coarse) / 3.0, rtol=1e-8)
         assert spec.parities == ([Parity.EVEN, Parity.ODD] * m)[:m]
 
     def test_degenerate_doublets_accepted(self):

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from qeswell import (
     Family,
     Geometry,
-    GridConfig,
     ModelParams,
     Tolerances,
     cross_validate,
@@ -35,6 +34,19 @@ class TestCrossValidate:
         assert by_name["numeric_embedding"].passed
         assert by_name["parity_match"].passed
         assert result.matched_parities == ["even", "even", "even"]
+
+    # the numeric cross-check holds up to MAX_ORDER; methods_agree does not
+    # yet at these orders, so only the numeric checks are asserted
+    @pytest.mark.parametrize("order", (35, 50))
+    @pytest.mark.parametrize("geometry, family", (
+        *((HYP, f) for f in Family), (TRIG, Family.TF1), (TRIG, Family.TF2),
+    ), ids=lambda v: v.value)
+    def test_numeric_embedding_high_order(self, geometry, family, order):
+        result = cross_validate(params(geometry, family, order=order))
+        by_name = {c.name: c for c in result.checks}
+        assert by_name["numeric_embedding"].passed, by_name["numeric_embedding"].deviation
+        assert by_name["parity_match"].passed
+        assert len(result.matched_indices) == order + 1
 
     def test_anti_isospectral_check(self):
         result = cross_validate(params(family=Family.TF2, order=1))
@@ -183,9 +195,7 @@ class TestSerialization:
             assert_allclose(a.monic_coeffs, b.monic_coeffs, rtol=0, atol=0)
 
     def test_report_json_round_trip(self):
-        result = cross_validate(
-            params(order=1), grid=GridConfig(half_width=3.0, points=2000)
-        )
+        result = cross_validate(params(order=1))
         data = json.loads(json.dumps(report.report_to_dict(result)))
         back = report.report_from_dict(data)
         assert back.params == result.params
