@@ -31,11 +31,9 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .bethe import (
-    CheLocalForm,
     QesLevel,
     QesSpectrum,
     assemble_wavefunction,
-    che_local_coeffs,
     closed_form_levels,
     solve_polynomial_system,
 )
@@ -97,11 +95,9 @@ __all__ = [
     "UnsupportedFamilyError",
     "DegenerateParameterError",
     "ConvergenceError",
-    "CheLocalForm",
     "QesLevel",
     "QesSpectrum",
     "assemble_wavefunction",
-    "che_local_coeffs",
     "closed_form_levels",
     "solve_polynomial_system",
     "AffineMap",

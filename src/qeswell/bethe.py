@@ -6,10 +6,11 @@ The eigenfunction ansatz ``psi = prefactor(x) * f(z)`` with ``z = cosh^2 x``
 degree-N polynomial quantizes the energy; the roots of the monic ``f`` play
 the role of Bethe roots of the level.
 
-Rather than iterating on the coupled root equations, the solver builds the
+Rather than iterating on the coupled root equations, the solver uses the
 termination system of the equivalent confluent-Heun form (see
-:mod:`qeswell.heun`): energies come from the determinant condition and each
-level's polynomial is the kernel vector of the termination matrix, which
+:mod:`qeswell.heun`): energies come from the determinant condition
+det(mu(E) I - K) = 0, and the N+1 level polynomials are the eigenvectors of
+that one matrix K, taken from a single eigen-decomposition.  An eigenvector
 stays well defined even when the forward series recurrence hits a zero
 pivot.  The Bethe roots of a level are the eigenvalues of its polynomial's
 companion matrix.
@@ -32,28 +33,6 @@ from .core import (
     normalize_samples,
 )
 from .errors import DomainError
-
-#: kernel vectors with |v_N| below this fraction of the vector norm are
-#: flagged as degenerate (f would drop below degree N)
-_LEADING_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CheLocalForm:
-    """Local-form coefficients of f'' + [...] f' + [...] f = 0.
-
-    The first-derivative bracket is
-    ``drift_constant + pole0_drift/z + pole1_drift/(z-1)`` and the
-    zeroth-order bracket ``pole0_source(E)/z + pole1_source(E)/(z-1)``,
-    both source maps affine in the energy with slope -+1/4.
-    """
-
-    drift_constant: float
-    pole0_drift: float
-    pole1_drift: float
-    pole0_source: heun.AffineMap
-    pole1_source: heun.AffineMap
-
 
 @dataclass(frozen=True)
 class QesLevel:
@@ -79,23 +58,13 @@ class QesSpectrum:
         return np.array([lvl.energy for lvl in self.levels])
 
 
-def che_local_coeffs(params: ModelParams) -> CheLocalForm:
-    """Local-form coefficients for the family's f-equation, read off :func:`heun.match_che`."""
-    che = heun.match_che(params)
-    return CheLocalForm(
-        drift_constant=che.alpha,
-        pole0_drift=1.0 + che.beta,
-        pole1_drift=1.0 + che.gamma_star,
-        pole0_source=che.mu_of_e,
-        pole1_source=che.nu_of_e,
-    )
-
-
-def local_form_residual(form: CheLocalForm, monic_coeffs, energy: float, z) -> float:
+def local_form_residual(che: heun.CheParams, monic_coeffs, energy: float, z) -> float:
     """Scaled residual of the local equation multiplied through by z(z-1).
 
     Zero (to rounding) when ``monic_coeffs`` is a genuine polynomial
-    solution at ``energy``; used as an independent solution check.
+    solution at ``energy``; used as an independent solution check.  The
+    source term is scaled by its uncancelled parts |slope E| + |intercept|,
+    so a level whose source term cancels to rounding (N = 0) scores near 0.
     """
     c = np.asarray(monic_coeffs, dtype=float)
     dc = np.polyder(c[::-1])[::-1] if c.size > 1 else np.zeros(1)
@@ -104,16 +73,17 @@ def local_form_residual(form: CheLocalForm, monic_coeffs, energy: float, z) -> f
     f = np.polyval(c[::-1], zs)
     fp = np.polyval(dc[::-1], zs)
     fpp = np.polyval(ddc[::-1], zs)
-    s0 = form.pole0_source(energy)
-    s1 = form.pole1_source(energy)
+    mu, nu = che.mu_of_e, che.nu_of_e
     t1 = zs * (zs - 1.0) * fpp
     t2 = (
-        form.drift_constant * zs * (zs - 1.0)
-        + form.pole0_drift * (zs - 1.0)
-        + form.pole1_drift * zs
+        che.alpha * zs * (zs - 1.0) + (1.0 + che.beta) * (zs - 1.0) + (1.0 + che.gamma_star) * zs
     ) * fp
-    t3 = (s0 * (zs - 1.0) + s1 * zs) * f
-    scale = np.max(np.abs(t1) + np.abs(t2) + np.abs(t3))
+    t3 = (mu(energy) * (zs - 1.0) + nu(energy) * zs) * f
+    t3_parts = (
+        (abs(mu.slope * energy) + abs(mu.intercept)) * np.abs(zs - 1.0)
+        + (abs(nu.slope * energy) + abs(nu.intercept)) * np.abs(zs)
+    ) * np.abs(f)
+    scale = np.max(np.abs(t1) + np.abs(t2) + t3_parts)
     if scale == 0:
         return 0.0
     return float(np.max(np.abs(t1 + t2 + t3)) / scale)
@@ -147,15 +117,39 @@ def closed_form_levels(params: ModelParams) -> list | None:
     return levels
 
 
-def _monic_from_kernel(che: heun.CheParams, energy: float):
-    """Series vector from the kernel of the termination matrix, made monic."""
-    mat = heun.termination_matrix(che, che.mu_of_e(energy))
-    _, _, vt = np.linalg.svd(mat)
-    vec = vt[-1]
-    lead = vec[-1]
-    if abs(lead) < _LEADING_TOL * np.linalg.norm(vec):
-        return vec / np.max(np.abs(vec)), False
-    return vec / lead, True
+def _level_polynomials(che: heun.CheParams, energies) -> list:
+    """Monic series polynomial of each level, in the order of ``energies``.
+
+    The polynomial of the level at E is the eigenvector of K at mu(E),
+    divided by its last entry.  One eigen-decomposition of K serves every
+    level: each energy is paired with an eigenvalue of K, nearest pairs
+    first and each eigenvalue used once.  Every subdiagonal entry of K is
+    2 gamma (N - i + 1) > 0, so an eigenvector with last entry 0 would
+    vanish by back-substitution from the last row: the degree never drops
+    below N.  At high order two real levels can be paired with a complex
+    conjugate pair of computed eigenvalues, whose vectors have the same
+    real part; one inverse-iteration step at each level's polished mu(E)
+    separates them and sharpens every vector.
+    """
+    mus = che.mu_of_e(np.asarray(energies))
+    k_mat = heun.companion_matrix(che)
+    eigenvalues, vectors = np.linalg.eig(k_mat)
+    dist = np.abs(mus[:, None] - eigenvalues[None, :])
+    picks = np.empty(mus.size, dtype=int)
+    for _ in range(mus.size):
+        k, j = np.unravel_index(np.argmin(dist), dist.shape)
+        picks[k] = j
+        dist[k, :] = dist[:, j] = np.inf
+    starts = (vectors[:, picks] / vectors[-1, picks]).real.T
+    eye = np.eye(k_mat.shape[0])
+    polys = []
+    for mu, start in zip(mus, starts):
+        try:
+            vec = np.linalg.solve(k_mat - mu * eye, start)
+        except np.linalg.LinAlgError:  # mu is exactly an eigenvalue of K
+            vec = start
+        polys.append(vec / vec[-1])
+    return polys
 
 
 def solve_polynomial_system(params: ModelParams) -> QesSpectrum:
@@ -168,23 +162,17 @@ def solve_polynomial_system(params: ModelParams) -> QesSpectrum:
     che = heun.match_che(params)
     real_energies, complex_energies = heun.energy_roots(params)
     levels = []
-    diagnostics = []
-    for energy in real_energies:
-        monic, ok = _monic_from_kernel(che, energy)
-        if not ok:
-            diagnostics.append(
-                f"level E={energy:.6g}: leading coefficient numerically zero, "
-                "polynomial degree drops below the order"
-            )
+    for energy, monic in zip(real_energies, _level_polynomials(che, real_energies)):
         roots_real, roots_complex = rootfind.real_roots(monic)
         levels.append(
             QesLevel(
                 energy=float(energy),
                 bethe_roots=roots_real,
-                monic_coeffs=np.asarray(monic, dtype=float),
+                monic_coeffs=monic,
                 complex_roots=roots_complex,
             )
         )
+    diagnostics = []
     if complex_energies:
         diagnostics.append(
             f"{len(complex_energies)} non-real energy roots: "

@@ -8,10 +8,15 @@ Schroedinger problem into a confluent Heun equation
 whose series coefficients obey a three-term recurrence.  Truncation to a
 degree-N polynomial requires two conditions: the coupling identity
 mu + nu + N alpha = 0 (enforced by the family's V1) and the vanishing of a
-tridiagonal determinant Delta_{N+1}(mu), whose roots give the solvable
-energies through the affine map mu(E).  The roots are the eigenvalues of the
-companion matrix K, taken by :func:`qeswell.rootfind.three_term_roots` and
-Newton-polished on the determinant recurrence.
+tridiagonal determinant Delta_{N+1}(mu) = det(mu I - K), whose roots give the
+solvable energies through the affine map mu(E).  The roots are the
+eigenvalues of the companion matrix K, taken by
+:func:`qeswell.rootfind.three_term_roots` and Newton-polished on the
+determinant recurrence.  K's entries are formed in ``np.longdouble`` from the
+float inputs, so the polish converges to the roots of the exact-input
+determinant rather than of a float64-rounded one; where ``longdouble`` is
+float64 this is plain float64.  The eigenvector of K at a root is the
+level's series coefficient vector (v_0, ..., v_N).
 """
 
 from __future__ import annotations
@@ -132,29 +137,19 @@ def q_value(che: CheParams, n: int) -> float:
 
 
 def _companion_arrays(che: CheParams):
-    """Tridiagonal K with Delta_{N+1}(mu) = det(mu I - K)."""
+    """Diagonal, super- and subdiagonal of K, in ``np.longdouble``."""
     n_t = che.order
-    dim = n_t + 1
-    idx = np.arange(1, dim + 1, dtype=float)
+    idx = np.arange(1, n_t + 2, dtype=np.longdouble)
     diag = (idx - 1) * (idx + che.beta + che.gamma_star) - (idx - 1) * che.alpha
     sup = -idx[:-1] * (idx[:-1] + che.beta)
     sub = -(n_t - idx[:-1] + 1) * che.alpha
     return diag, sup, sub
 
 
-def termination_matrix(che: CheParams, mu: float) -> np.ndarray:
-    """Dense (N+1)x(N+1) matrix whose determinant is Delta_{N+1}(mu).
-
-    Its kernel at a solvable mu is the series coefficient vector
-    (v_0, ..., v_N).
-    """
-    diag, sup, sub = _companion_arrays(che)
-    m = np.diag(mu - diag)
-    dim = diag.size
-    for i in range(dim - 1):
-        m[i, i + 1] = -sup[i]
-        m[i + 1, i] = -sub[i]
-    return m
+def companion_matrix(che: CheParams) -> np.ndarray:
+    """Dense float64 K with Delta_{N+1}(mu) = det(mu I - K)."""
+    diag, sup, sub = (a.astype(float) for a in _companion_arrays(che))
+    return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
 def delta_determinant(che: CheParams, mu: float) -> float:
@@ -163,7 +158,7 @@ def delta_determinant(che: CheParams, mu: float) -> float:
     d_prev, d = 1.0, mu - diag[0]
     for i in range(1, diag.size):
         d_prev, d = d, (mu - diag[i]) * d - sup[i - 1] * sub[i - 1] * d_prev
-    return d
+    return float(d)
 
 
 def energy_roots(params: ModelParams):

@@ -1,13 +1,14 @@
 """Root extraction: the three-term eigen-kernel and companion-matrix roots.
 
 :func:`three_term_roots` returns every zero of a three-term determinant
-recurrence as the eigenvalues of a diagonally scaled tridiagonal matrix,
-Newton-polished on the recurrence itself in ``np.longdouble``; the
-algebraic energy routes end in such a determinant.  :func:`real_roots`
-takes the roots of a polynomial with ascending coefficients
-(``p(z) = c[0] + c[1] z + ...``) from its companion matrix.  The Aberth-Ehrlich iteration :func:`aberth_roots` has no
-caller in the package; it is kept for the benchmark's tracer, which wraps
-it by name.
+recurrence: float64 eigenvalues of a diagonally scaled tridiagonal matrix,
+Newton-polished on the recurrence in ``np.longdouble`` with the caller's
+coefficients at their own precision.  The algebraic energy routes end in
+such a determinant.  :func:`real_roots` takes the roots of a polynomial with
+ascending coefficients (``p(z) = c[0] + c[1] z + ...``) from its companion
+matrix; the Bethe roots of each level come from it.  The Aberth-Ehrlich
+iteration :func:`aberth_roots` has no caller in the package; it is kept for
+the benchmark's tracer, which wraps it by name.
 """
 
 from __future__ import annotations
@@ -134,22 +135,24 @@ def three_term_roots(diag, coupling) -> np.ndarray:
     on the diagonal and off-diagonals of magnitude sqrt|coupling|, the sign
     of each coupling kept on the superdiagonal.  This scaling keeps the
     matrix balanced; the plain (1, coupling) Jacobi form loses levels once
-    a coupling is exactly 0.  Each eigenvalue then gets at most
-    ``POLISH_STEPS`` Newton corrections on the recurrence, all roots at once,
-    evaluated in ``np.longdouble``/``np.clongdouble`` and cast back to
+    a coupling is exactly 0.  The eigenvalues are taken from a float64 copy
+    of the matrix.  Each then gets at most ``POLISH_STEPS`` Newton
+    corrections on the recurrence, all roots at once, evaluated in
+    ``np.longdouble``/``np.clongdouble`` on the caller's ``diag`` and
+    ``coupling`` as given (not rounded to float64 first), and cast back to
     complex128.  At high order the recurrence loses digits to cancellation,
     which the wider mantissa (64 bits on x87) absorbs.  Where ``longdouble``
     is float64, the polish reduces to a plain float64 Newton polish.
     """
-    diag = np.asarray(diag, dtype=float)
-    coupling = np.asarray(coupling, dtype=float)
-    off = np.sqrt(np.abs(coupling))
-    mat = np.diag(diag) + np.diag(np.copysign(off, coupling), 1) + np.diag(off, -1)
+    diag = np.asarray(diag, dtype=np.longdouble)
+    coupling = np.asarray(coupling, dtype=np.longdouble)
+    diag64, coupling64 = diag.astype(float), coupling.astype(float)
+    off = np.sqrt(np.abs(coupling64))
+    mat = np.diag(diag64) + np.diag(np.copysign(off, coupling64), 1) + np.diag(off, -1)
     x = np.linalg.eigvals(mat)
     # eigvals returns a real array when every eigenvalue is real; the polish
     # then stays in real arithmetic, nearly twice as fast as complex
     x = x.astype(np.clongdouble if np.iscomplexobj(x) else np.longdouble)
-    diag, coupling = diag.astype(np.longdouble), coupling.astype(np.longdouble)
     active = np.arange(x.size)
     for _ in range(POLISH_STEPS):
         val, der = _three_term_with_derivative(diag, coupling, x[active])

@@ -15,6 +15,7 @@ from qeswell import (
     Family,
     Geometry,
     ModelParams,
+    match_che,
     qes_energies_via_determinant,
     qes_energies_via_recurrence,
     rootfind,
@@ -92,6 +93,64 @@ def test_oracle_high_gamma(geometry, family, order, eta):
 @pytest.mark.parametrize("geometry", [HYP, TRIG], ids=lambda v: v.value)
 def test_oracle_steepest(geometry, eta):
     test_oracle_sweep(geometry, Family.TF1, 50, 4.0, eta)
+
+
+def exact_input_energies(params, approx):
+    """Roots of the termination determinant formed in mpmath from (gamma, eta).
+
+    Each energy in ``approx`` is refined by Newton's method on the
+    determinant recurrence, so the references are roots of the exact-input
+    polynomial, not of one rounded to float64.
+    """
+    che = match_che(params)
+    n = params.order
+    with mpmath.workdps(DIGITS):
+        alpha = -2 * mpmath.mpf(params.gamma)
+        beta = mpmath.mpf(params.eta) - mpmath.mpf(0.5)
+        if params.family in (Family.TF3, Family.TF4):
+            beta = -beta
+        gamma_star = mpmath.mpf(-0.5 if params.family in (Family.TF1, Family.TF3) else 0.5)
+        diag = [i * (i + 1 + beta + gamma_star) - i * alpha for i in range(n + 1)]
+        coupling = [i * (i + beta) * (n - i + 1) * alpha for i in range(1, n + 1)]
+
+        def delta_and_derivative(mu):
+            d_prev, d, dd_prev, dd = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)
+            for i, x in enumerate(diag):
+                c = coupling[i - 1] if i else 0
+                d_prev, d, dd_prev, dd = d, (mu - x) * d - c * d_prev, dd, d + (mu - x) * dd - c * dd_prev
+            return d, dd
+
+        refined = []
+        for energy in approx:
+            mu = mpmath.mpf(che.mu_of_e(float(energy)))
+            for _ in range(50):
+                d, dd = delta_and_derivative(mu)
+                mu -= d / dd
+                if abs(d / dd) < mpmath.mpf(10) ** (10 - DIGITS) * (1 + abs(mu)):
+                    break
+            refined.append(che.mu_of_e.invert(mu))
+    return refined
+
+
+# non-round (gamma, eta), so the determinant's coefficients round in float64;
+# a polish on the float64-rounded coefficients misses these by 2e-6 to 1e-5
+@pytest.mark.parametrize(
+    "geometry,family,gamma,eta,order",
+    [
+        (HYP, Family.TF2, 3.23, 1.6, 49),
+        (HYP, Family.TF3, 3.2, 1.74, 47),
+        (HYP, Family.TF4, 3.62, 2.98, 49),
+        (TRIG, Family.TF1, 3.1431, 1.3047, 45),
+    ],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_heun_matches_exact_input_roots(geometry, family, gamma, eta, order):
+    params = ModelParams(geometry, family, gamma, eta, order)
+    got = qes_energies_via_determinant(params)
+    ref = exact_input_energies(params, got)
+    assert len({mpmath.nstr(r, 30) for r in ref}) == order + 1, "refined roots coincide"
+    rel = max(abs(mpmath.mpf(float(g)) - r) / abs(r) for g, r in zip(got, ref))
+    assert rel <= 1e-8
 
 
 def test_bethe_levels_at_max_order_with_zero_coupling():

@@ -11,7 +11,6 @@ from qeswell import (
     ModelParams,
     Normalization,
     assemble_wavefunction,
-    che_local_coeffs,
     closed_form_levels,
     match_che,
     qes_energies_via_determinant,
@@ -24,6 +23,7 @@ from qeswell.core import trapezoid
 from reference_values import ROOT_PAIRS, qes_set
 
 HYP, TRIG = Geometry.HYPERBOLIC, Geometry.TRIGONOMETRIC
+PAIRS = [(HYP, f) for f in Family] + [(TRIG, Family.TF1), (TRIG, Family.TF2)]
 
 
 def params(geometry=HYP, family=Family.TF1, gamma=2.0, eta=2.0, order=1):
@@ -32,41 +32,26 @@ def params(geometry=HYP, family=Family.TF1, gamma=2.0, eta=2.0, order=1):
 
 class TestLocalForm:
     def test_tf1_brackets(self):
-        form = che_local_coeffs(params(order=0))
+        che = match_che(params(order=0))
         g, e = 2.0, 2.0
-        assert_allclose(form.drift_constant, -2 * g)
-        assert_allclose(form.pole0_drift, e + 0.5)
-        assert_allclose(form.pole1_drift, 0.5)
-        assert_allclose(form.pole0_source.slope, -0.25)
-        assert_allclose(form.pole0_source(0.0), -(e + 2 * g * (2 * e + 1)) / 4)
+        assert_allclose(che.alpha, -2 * g)
+        assert_allclose(1.0 + che.beta, e + 0.5)
+        assert_allclose(1.0 + che.gamma_star, 0.5)
+        assert_allclose(che.mu_of_e.slope, -0.25)
+        assert_allclose(che.mu_of_e(0.0), -(e + 2 * g * (2 * e + 1)) / 4)
 
     def test_tf2_tf3_drifts(self):
-        f2 = che_local_coeffs(params(family=Family.TF2))
-        assert_allclose(f2.pole1_drift, 1.5)
-        assert_allclose(f2.pole0_source(0.0), -(3 * 2.0 + 2 * 2.0 * 5 + 1) / 4)
-        f3 = che_local_coeffs(params(family=Family.TF3))
-        assert_allclose(f3.pole0_drift, 1.5 - 2.0)
+        c2 = match_che(params(family=Family.TF2))
+        assert_allclose(1.0 + c2.gamma_star, 1.5)
+        assert_allclose(c2.mu_of_e(0.0), -(3 * 2.0 + 2 * 2.0 * 5 + 1) / 4)
+        c3 = match_che(params(family=Family.TF3))
+        assert_allclose(1.0 + c3.beta, 1.5 - 2.0)
 
     def test_trig_source_sign(self):
-        form = che_local_coeffs(params(TRIG, order=0))
+        che = match_che(params(TRIG, order=0))
         g, e = 2.0, 2.0
-        assert_allclose(form.pole0_source.slope, 0.25)
-        assert_allclose(form.pole0_source(0.0), (-e - 2 * g * (2 * e + 1)) / 4)
-
-    @pytest.mark.parametrize("geometry", [HYP, TRIG])
-    @pytest.mark.parametrize("family", list(Family))
-    def test_source_maps_equal_standard_form_accessories(self, geometry, family, rng):
-        if geometry is TRIG and family in (Family.TF3, Family.TF4):
-            pytest.skip("no trigonometric states")
-        for _ in range(4):
-            p = ModelParams(
-                geometry, family, rng.uniform(0.3, 3), rng.uniform(0.3, 3), int(rng.integers(0, 4))
-            )
-            form = che_local_coeffs(p)
-            che = match_che(p)
-            for energy in (-7.0, 13.0):
-                assert_allclose(form.pole0_source(energy), che.mu_of_e(energy), rtol=1e-13)
-                assert_allclose(form.pole1_source(energy), che.nu_of_e(energy), rtol=1e-13)
+        assert_allclose(che.mu_of_e.slope, 0.25)
+        assert_allclose(che.mu_of_e(0.0), (-e - 2 * g * (2 * e + 1)) / 4)
 
 
 class TestClosedForms:
@@ -141,10 +126,40 @@ class TestSpectrum:
         for family in Family:
             for n in (1, 2, 3):
                 p = ModelParams(HYP, family, 2.0, 2.0, n)
-                form = che_local_coeffs(p)
+                che = match_che(p)
                 for lvl in solve_polynomial_system(p).levels:
-                    resid = bethe.local_form_residual(form, lvl.monic_coeffs, lvl.energy, zs)
+                    resid = bethe.local_form_residual(che, lvl.monic_coeffs, lvl.energy, zs)
                     assert resid < 1e-8
+
+    @pytest.mark.parametrize("geometry,family", PAIRS, ids=lambda v: v.value)
+    def test_local_form_residuals_order_fifteen(self, geometry, family):
+        p = ModelParams(geometry, family, 2.0, 2.0, 15)
+        che = match_che(p)
+        zs = np.linspace(0.05, 3.0, 60)
+        for lvl in solve_polynomial_system(p).levels:
+            assert bethe.local_form_residual(che, lvl.monic_coeffs, lvl.energy, zs) < 1e-7
+
+    @pytest.mark.parametrize("geometry,family", PAIRS, ids=lambda v: v.value)
+    def test_order_zero_residual_at_rounding(self, geometry, family):
+        # f = 1 leaves only the source term, which cancels to rounding
+        p = ModelParams(geometry, family, 1.1365, 2.5961, 0)
+        (lvl,) = solve_polynomial_system(p).levels
+        zs = np.linspace(0.05, 3.0, 60)
+        assert bethe.local_form_residual(match_che(p), lvl.monic_coeffs, lvl.energy, zs) < 1e-12
+
+    @pytest.mark.parametrize("order", [20, 35])
+    def test_every_level_monic_without_diagnostics(self, order):
+        spec = solve_polynomial_system(params(order=order))
+        assert len(spec.levels) == order + 1
+        assert all(lvl.monic_coeffs[-1] == 1.0 for lvl in spec.levels)
+        assert spec.diagnostics == []
+
+    def test_no_two_levels_share_a_polynomial(self):
+        # eig returns a complex conjugate pair where two real levels sit
+        p = ModelParams(HYP, Family.TF1, 3.997683191142988, 2.8881659828151456, 50)
+        spec = solve_polynomial_system(p)
+        assert len(spec.levels) == 51
+        assert len({lvl.monic_coeffs.tobytes() for lvl in spec.levels}) == 51
 
     def test_root_coefficient_duality(self):
         for order in (1, 2, 3, 4):
