@@ -13,7 +13,8 @@ det(mu(E) I - K) = 0, and the N+1 level polynomials are the eigenvectors of
 that one matrix K, taken from a single eigen-decomposition.  An eigenvector
 stays well defined even when the forward series recurrence hits a zero
 pivot.  The Bethe roots of a level are the eigenvalues of its polynomial's
-companion matrix.
+rotated companion matrix; the matrices of all levels of one order are
+stacked and solved by one eigenvalue call.
 """
 
 from __future__ import annotations
@@ -161,9 +162,10 @@ def solve_polynomial_system(params: ModelParams) -> QesSpectrum:
     """
     che = heun.match_che(params)
     real_energies, complex_energies = heun.energy_roots(params)
+    polys = _level_polynomials(che, real_energies)
     levels = []
-    for energy, monic in zip(real_energies, _level_polynomials(che, real_energies)):
-        roots_real, roots_complex = rootfind.real_roots(monic)
+    for energy, monic, roots in zip(real_energies, polys, rootfind.companion_roots(polys)):
+        roots_real, roots_complex = rootfind.split_real(roots)
         levels.append(
             QesLevel(
                 energy=float(energy),

@@ -15,6 +15,7 @@ from qeswell import (
     Family,
     Geometry,
     ModelParams,
+    heun,
     match_che,
     qes_energies_via_determinant,
     qes_energies_via_recurrence,
@@ -187,3 +188,59 @@ def test_three_term_roots_match_np_roots(coupling):
     got = rootfind.three_term_roots(diag, coupling)
     assert_allclose(sorted_complex(got), sorted_complex(reference_roots(diag, coupling)), atol=1e-10)
 
+
+ROOT_DIGITS = 120
+
+
+def reference_bethe_roots(params, energies):
+    """Bethe roots of the level at each energy, from K formed at ROOT_DIGITS.
+
+    K's entries are taken exactly from ``heun._companion_arrays``; mu(E) is
+    refined by ``findroot`` on det(mu I - K), the kernel vector of K - mu I
+    is found by back-substitution from its last entry, and its roots by
+    ``mpmath.polyroots``.
+    """
+    che = match_che(params)
+    n = params.order
+    out = []
+    with mpmath.workdps(ROOT_DIGITS):
+        diag, sup, sub = (
+            [mpmath.mpf(p) / q for p, q in (x.as_integer_ratio() for x in arr)]
+            for arr in heun._companion_arrays(che)
+        )
+
+        def det(mu):
+            prev, cur = mpmath.mpf(1), mu - diag[0]
+            for i in range(1, n + 1):
+                prev, cur = cur, (mu - diag[i]) * cur - sup[i - 1] * sub[i - 1] * prev
+            return cur
+
+        for energy in energies:
+            mu = mpmath.findroot(det, mpmath.mpf(che.mu_of_e(float(energy))))
+            v = [mpmath.mpf(0)] * n + [mpmath.mpf(1)]
+            for i in range(n, 0, -1):
+                row = (diag[i] - mu) * v[i] + (sup[i] * v[i + 1] if i < n else 0)
+                v[i - 1] = -row / sub[i - 1]
+            out.append([complex(r) for r in mpmath.polyroots(v[::-1], maxsteps=500, extraprec=400)])
+    return out
+
+
+# float64 polyroots on the unrotated companion matrix misses these bounds
+# (3.8e-6 and 1.4e-3); the rotated companion meets them
+@pytest.mark.parametrize(
+    "geometry,family,order,bound",
+    [(HYP, Family.TF1, 15, 1e-6), (TRIG, Family.TF2, 20, 1e-4)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_bethe_roots_match_high_precision(geometry, family, order, bound):
+    params = ModelParams(geometry, family, 2.0, 2.0, order)
+    spec = solve_polynomial_system(params)
+    assert len(spec.levels) == order + 1
+    worst = 0.0
+    for level, ref in zip(spec.levels, reference_bethe_roots(params, spec.energies)):
+        got = list(level.bethe_roots.astype(complex)) + list(level.complex_roots)
+        assert len(got) == order
+        for r in ref:  # each reference root claims its nearest computed root
+            k = int(np.argmin([abs(g - r) for g in got]))
+            worst = max(worst, abs(got.pop(k) - r) / abs(r))
+    assert worst <= bound

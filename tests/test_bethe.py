@@ -190,13 +190,17 @@ class TestSpectrum:
         assert len(spec.levels) == 3
         assert_allclose(spec.energies, qes_energies_via_recurrence(p), atol=1e-9)
 
-    def test_complex_energy_reporting(self, monkeypatch):
+    @pytest.mark.parametrize("real", [[-42.0], []], ids=["one-real", "no-real"])
+    def test_complex_energy_reporting(self, monkeypatch, real):
+        def refuse(_):
+            raise AssertionError("stacked eigen-solve called")
+
         p = params(order=1)
-        monkeypatch.setattr(
-            bethe.heun, "energy_roots", lambda _: (np.array([-42.0]), [(-30 + 1j)])
-        )
+        monkeypatch.setattr(bethe.heun, "energy_roots", lambda _: (np.array(real), [(-30 + 1j)]))
+        # order 1 has one root per level, which needs no eigen-solve
+        monkeypatch.setattr(bethe.rootfind.np.linalg, "eigvals", refuse)
         spec = solve_polynomial_system(p)
-        assert len(spec.levels) == 1
+        assert len(spec.levels) == len(real)
         assert spec.complex_energies == [(-30 + 1j)]
         assert any("non-real" in d for d in spec.diagnostics)
 

@@ -22,12 +22,12 @@ class TestAberth:
         assert_allclose(roots[1], 1e8, rtol=1e-12)
 
     def test_known_cubic(self):
-        roots, rest = rootfind.real_roots(poly_from_roots([1.0, 2.0, 3.0]))
+        roots, rest = rootfind.split_real(rootfind.companion_roots([poly_from_roots([1.0, 2.0, 3.0])])[0])
         assert not rest
         assert_allclose(roots, [1.0, 2.0, 3.0], rtol=1e-12)
 
     def test_complex_pair(self):
-        real, rest = rootfind.real_roots([1.0, 0.0, 1.0])  # z^2 + 1
+        real, rest = rootfind.split_real(rootfind.companion_roots([[1.0, 0.0, 1.0]])[0])  # z^2 + 1
         assert real.size == 0
         assert len(rest) == 2
         assert_allclose(sorted(r.imag for r in rest), [-1.0, 1.0], atol=1e-12)
@@ -67,3 +67,25 @@ class TestAberth:
         real, rest = rootfind.split_real(np.array([1.0 + 1e-12j, 2.0 + 1.0j]))
         assert_allclose(real, [1.0])
         assert rest == [2.0 + 1.0j]
+
+
+class TestCompanionRoots:
+    def test_matches_per_row_eigvals(self, rng):
+        for n in range(2, 11):
+            rows = rng.normal(size=(4, n + 1))
+            got = rootfind.companion_roots(rows)
+            assert got.shape == (4, n)
+            for c, roots in zip(rows, got):
+                mat = np.eye(n, k=1)
+                mat[:, 0] = -c[n - 1 :: -1] / c[n]
+                assert_allclose(roots, np.linalg.eigvals(mat), rtol=1e-12, atol=1e-12)
+
+    def test_degree_zero_and_one_need_no_eigen_solve(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(rootfind.np.linalg, "eigvals", refuse)
+        assert rootfind.companion_roots([[3.0], [5.0]]).shape == (2, 0)
+        assert rootfind.companion_roots([]).shape == (0, 0)
+        got = rootfind.companion_roots([[6.0, -2.0], [0.1, 0.3]])
+        assert got.tolist() == [[3.0], [-0.1 / 0.3]]
