@@ -3,8 +3,9 @@ trigonometric partner.
 
 Three independent algebraic routes (direct polynomial expansion, confluent
 Heun termination, sl(2, R) gauge algebra) compute the solvable part of the
-spectrum; a finite-difference eigensolver provides an independent numeric
-cross-check over the full low-lying spectrum.
+spectrum; a spectral eigensolver (sinc DVR on the line, Gegenbauer Galerkin
+on the cell) provides an independent numeric cross-check over the full
+low-lying spectrum.
 """
 
 from .core import (

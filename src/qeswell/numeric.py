@@ -1,61 +1,61 @@
-"""Independent finite-difference eigensolver used to cross-check the algebra.
+"""Independent spectral eigensolver used to cross-check the algebra.
 
-The 1-D operator -d^2/dx^2 + V(x) is discretized by central second
-differences on an interior grid, giving a symmetric tridiagonal matrix
-whose lowest eigenvalues come from LAPACK bisection
-(``scipy.linalg.eigh_tridiagonal``; scipy is imported on the first solve,
-so the algebraic routes never load it).
+Both potentials are even, so -d^2/dx^2 + V(x) splits exactly into an even
+and an odd parity sector.  ``numeric_spectrum`` builds each sector as a
+small dense symmetric matrix and takes its lowest eigenvalues from
+``numpy.linalg.eigvalsh``.  By the oscillation theorem the k-th level of
+the full problem has parity (-1)^k, so the merged spectrum alternates even,
+odd, even, ... from the ground state: parities are sector labels, and the
+two levels of a tunnelling doublet stay apart even where they tie in
+float64.
 
-Both potentials are even and the grid is mirror-symmetric, so the matrix
-splits exactly into an even and an odd block on the right half of the grid
-(``sector_operators``); each block is solved for its own share of the
-levels.  Every off-diagonal is negative, so by the discrete oscillation
-theorem the k-th level of the full matrix has k sign changes and parity
-(-1)^k: the levels alternate even, odd, even, ... from the ground state.
-The merged spectrum therefore carries its parities as sector labels, with
-no eigenvectors on the default path, and the two levels of a tunnelling
-doublet stay apart even where they tie in float64.  ``eigen_lowest_batch``,
-``eigenvector`` (inverse iteration), ``mirror_parity`` (a parity measured
-from an eigenvector), ``SymTridiagonal.shifted_banded`` and
-``PARITY_THRESHOLD`` have no caller in the package; they are kept only
-because the benchmark's tracer wraps the first three by name, and the last
-two serve them.
+The hyperbolic line uses the sinc discrete variable representation of
+Colbert and Miller (J. Chem. Phys. 96, 1982, 1992) on the half line
+x_i = i h, i = 0..n (``sinc_sectors``).  Its error falls exponentially with
+the ratio of the grid momentum pi / h to the largest classical momentum, so
+the grid is sized from a top energy E_top: the half-line WKB count
+int sqrt(max(E - V, 0)) dx / pi reaches the even sector's share of the
+levels plus ``WKB_MARGIN`` there.  The box edge L carries ``BOX_ACTION`` of
+tunnelling decay beyond E_top, and n = max(40, ceil(2.2 L k / pi) + 10)
+with k = sqrt(E_top - min V).  A top level above E_top raises E_top and
+widens the box.
 
-Central differences are accurate to O(h^2) with an error that grows with
-the energy, so ``numeric_spectrum`` solves the sectors on P and on 2P
-points in the same box and returns the Richardson extrapolation
-(4 E_2P - E_P) / 3 per level (Richardson, Phil. Trans. R. Soc. A 210, 307,
-1911).  Without an explicit grid, P grows with the number of levels
-requested: max(floor, k m), with the floors ``DEFAULT_POINTS_*`` and the
-slopes ``POINTS_PER_LEVEL_*``.
+The trigonometric cell uses a Galerkin in the Poschl-Teller functions
+cos^eta(x) C_k^(eta)(sin x) (``gegenbauer_sectors``), in which the kinetic
+and eta (eta - 1) / cos^2 x terms are diagonal and the rest of U is a
+polynomial in the Gegenbauer Jacobi matrix, so each matrix element is
+exact.  The basis takes the regular cos^eta wall branch for every eta > 0.
 
-The hyperbolic geometry uses a truncated interval [-L, L] with Dirichlet
-walls; the exp(-g cosh^2 x) decay makes truncation error negligible for
-modest L.  The trigonometric geometry uses the open cell (-pi/2, pi/2) and
-factors psi = cos^s(x) phi with s = min(eta, 1) out of the wavefunction,
-which removes the attractive part of the eta (eta - 1) tan^2 x term for
-eta < 1 and leaves the repulsive part for eta > 1.  The factored operator
--(w phi')'/w + W phi with w = cos^2s(x) is symmetrised on the grid, so its
-eigenvectors are psi at the nodes.
+Neither basis uses the QES gauge factor, the truncation or the mu/nu maps;
+they share only ``potential_coefficients`` with the algebraic routes.
+
+The finite-difference names ``GridConfig``, ``SymTridiagonal``,
+``fd_hamiltonian``, ``eigen_lowest``, ``eigen_lowest_batch``,
+``eigenvector`` and ``mirror_parity``, with the helpers they call, have no
+caller in ``numeric_spectrum``.  They stay callable and unchanged only
+because the benchmark's tracer (``perfbench/tracing.py``) wraps them by
+name, until the benchmark drops them.  ``eigen_lowest`` and ``eigenvector``
+import scipy on first use; nothing else in the package loads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Geometry, ModelParams, Parity, eval_potential, potential_coefficients
+from .core import Geometry, ModelParams, Parity, eval_potential, potential_coefficients, trapezoid
 from .errors import ConvergenceError
 
-#: fewest coarse-grid points of each geometry; the fine grid has twice as many
-DEFAULT_POINTS_HYPERBOLIC = 1000
-DEFAULT_POINTS_TRIGONOMETRIC = 2000
-#: coarse-grid points per requested level, once that exceeds the floor
-POINTS_PER_LEVEL_HYPERBOLIC = 60
-POINTS_PER_LEVEL_TRIGONOMETRIC = 80
-DEFAULT_HALF_WIDTH = 3.0
+#: WKB levels beyond the even sector's share that the hyperbolic grid holds
+WKB_MARGIN = 2
+#: samples per WKB action integral
+WKB_SAMPLES = 64
+#: tunnelling action from the outer turning point of E_top to the box edge
+BOX_ACTION = 40.0
+#: grid momentum pi / h over the largest classical momentum
+SINC_OVERSAMPLING = 2.2
 #: accept a mirror overlap as decisive parity evidence beyond this magnitude
 PARITY_THRESHOLD = 0.9
 
@@ -148,29 +148,6 @@ def mirror_parity(vec: np.ndarray) -> Parity | None:
     return None
 
 
-def sector_operators(op: SymTridiagonal) -> tuple[SymTridiagonal, SymTridiagonal]:
-    """The even and odd blocks of a mirror-symmetric operator, read off its
-    right half.  Their spectra together are the spectrum of ``op``.
-
-    With a centre node k, the even block couples it with sqrt(2) times the
-    off-diagonal (the symmetrised form of the mirrored neighbour), and the
-    odd block drops it.  Without one, the mirrored neighbour of the first
-    right-half node is that node itself (even) or its negative (odd).
-    """
-    n = op.size
-    k = n // 2
-    if n % 2:
-        even_off = op.off[k:].copy()
-        even_off[0] *= math.sqrt(2.0)
-        return (SymTridiagonal(op.diag[k:], even_off),
-                SymTridiagonal(op.diag[k + 1:], op.off[k + 1:]))
-    even_diag = op.diag[k:].copy()
-    odd_diag = op.diag[k:].copy()
-    even_diag[0] += op.off[k - 1]
-    odd_diag[0] -= op.off[k - 1]
-    return SymTridiagonal(even_diag, op.off[k:]), SymTridiagonal(odd_diag, op.off[k:])
-
-
 def interior_grid(half_width: float, points: int):
     """Interior abscissae and spacing for walls at +-half_width."""
     h = 2.0 * half_width / points
@@ -217,49 +194,147 @@ def fd_hamiltonian(params: ModelParams, grid: GridConfig) -> SymTridiagonal:
     return fd_operator(eval_potential(params, xs), h)
 
 
-def default_grid(params: ModelParams, m: int) -> GridConfig:
-    """The coarse grid of each geometry for ``m`` levels when the caller gives none."""
-    if params.geometry is Geometry.HYPERBOLIC:
-        points = max(DEFAULT_POINTS_HYPERBOLIC, POINTS_PER_LEVEL_HYPERBOLIC * m)
-        return GridConfig(half_width=DEFAULT_HALF_WIDTH, points=points)
-    points = max(DEFAULT_POINTS_TRIGONOMETRIC, POINTS_PER_LEVEL_TRIGONOMETRIC * m)
-    return GridConfig(half_width=math.pi / 2, points=points)
-
-
-def _sector_levels(params: ModelParams, grid: GridConfig, m: int) -> np.ndarray:
-    """Lowest ``m`` levels on ``grid``, alternating even and odd sector levels."""
-    even, odd = sector_operators(fd_hamiltonian(params, grid))
+def _merged_levels(even: np.ndarray, odd: np.ndarray, m: int) -> np.ndarray:
+    """Lowest ``m`` levels of the two sector matrices, alternating even and odd."""
     energies = np.empty(m)
-    energies[0::2] = eigen_lowest(even, (m + 1) // 2)
-    if m > 1:
-        energies[1::2] = eigen_lowest(odd, m // 2)
+    energies[0::2] = np.linalg.eigvalsh(even)[: (m + 1) // 2]
+    energies[1::2] = np.linalg.eigvalsh(odd)[: m // 2]
     return energies
 
 
-def numeric_spectrum(params: ModelParams, m: int = 8, grid: GridConfig | None = None) -> NumericSpectrum:
-    """Lowest ``m`` levels with parities, merged from the two sector spectra
-    and Richardson-extrapolated from ``grid`` and its doubled twin.
+def _turning_bound(coef, energy):
+    """A half-width beyond which the hyperbolic potential exceeds ``energy``.
 
-    The hyperbolic half-width is widened on the coarse grid until the wall
-    value of the potential clears ten times the largest requested level;
-    the doubled grid reuses that half-width, so its spacing is exactly half
-    the coarse one, as the extrapolation requires.
+    With c = cosh^2 x >= 1 and 0 <= tanh^2 x < 1, V >= A c^2 - |B| c - |C|,
+    which exceeds ``energy`` once c passes its larger root.
     """
+    a, b, c = coef.quartic, abs(coef.quadratic), abs(coef.centrifugal)
+    root = (b + np.sqrt(np.maximum(b * b + 4.0 * a * (energy + c), 0.0))) / (2.0 * a)
+    return np.arccosh(np.sqrt(np.maximum(root, 1.0)))
+
+
+def _wkb_count(params: ModelParams, coef, energies: np.ndarray) -> np.ndarray:
+    """WKB level count int sqrt(max(E - V, 0)) dx / pi on the half line, per energy."""
+    xs = _turning_bound(coef, energies)[:, None] * np.linspace(0.0, 1.0, WKB_SAMPLES)
+    momentum = np.sqrt(np.maximum(energies[:, None] - eval_potential(params, xs), 0.0))
+    return trapezoid(momentum, xs, axis=1) / math.pi
+
+
+def _wkb_top(params: ModelParams, coef, levels: float) -> tuple[float, float]:
+    """An energy whose half-line WKB count reaches ``levels``, and min V.
+
+    The minimum lies where V <= V(0) = A + B.  The count is bracketed on a
+    ladder of energies doubling above min V, then resolved to a sixteenth
+    of the bracket.
+    """
+    xs = np.linspace(0.0, _turning_bound(coef, coef.quartic + coef.quadratic), WKB_SAMPLES)
+    v_min = float(np.min(eval_potential(params, xs)))
+    scale = coef.quartic + abs(coef.quadratic) + abs(coef.centrifugal)
+    ladder = v_min + scale * 2.0 ** np.arange(-30.0, 31.0)
+    k = int(np.searchsorted(_wkb_count(params, coef, ladder), levels))
+    if k == ladder.size:
+        raise ConvergenceError(f"no energy below {ladder[-1]:.3g} holds {levels} WKB levels")
+    fine = np.linspace(ladder[k - 1] if k else v_min, ladder[k], 17)[1:]
+    k = int(np.searchsorted(_wkb_count(params, coef, fine), levels))
+    return float(fine[min(k, fine.size - 1)]), v_min
+
+
+def _box_edge(params: ModelParams, coef, e_top: float) -> float:
+    """Smallest L at which the action int sqrt(V - E_top) dx, taken outwards
+    from the outer turning point of E_top, reaches ``BOX_ACTION``."""
+    reach = float(_turning_bound(coef, e_top)) + 4.0
+    for _ in range(4):
+        xs = np.linspace(0.0, reach, 2048)
+        excess = eval_potential(params, xs) - e_top
+        outer = np.flatnonzero(excess <= 0.0)
+        momentum = np.sqrt(np.maximum(excess, 0.0))
+        momentum[: outer[-1] if outer.size else 0] = 0.0
+        action = np.cumsum(0.5 * (momentum[1:] + momentum[:-1])) * (xs[1] - xs[0])
+        if action[-1] >= BOX_ACTION:
+            return float(xs[1 + np.searchsorted(action, BOX_ACTION)])
+        reach *= 2.0
+    raise ConvergenceError(f"the hyperbolic well does not confine E = {e_top:.6g}")
+
+
+def sinc_sectors(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd sinc-DVR blocks of -d^2/dx^2 + V on nodes x_i = i h.
+
+    ``v`` holds V(x_i) for i = 0..n.  The kinetic matrix of Colbert and
+    Miller, T(0) = pi^2 / (3 h^2) and T(k) = 2 (-1)^k / (k^2 h^2), folds onto
+    the half line as T(i - j) + T(i + j) for the even sector, whose node 0 is
+    its own mirror image (row and column 0 divided by sqrt 2), and as
+    T(i - j) - T(i + j) on i, j >= 1 for the odd sector.
+    """
+    n = v.size - 1
+    k = np.arange(1, 2 * n + 1)
+    kinetic = np.concatenate(([math.pi**2 / 3.0], 2.0 * (-1.0) ** k / (k * k))) / (h * h)
+    i = np.arange(n + 1)
+    near, far = kinetic[np.abs(i[:, None] - i)], kinetic[i[:, None] + i]
+    even = near + far
+    even[0] /= math.sqrt(2.0)
+    even[:, 0] /= math.sqrt(2.0)
+    odd = (near - far)[1:, 1:]
+    even[i, i] += v
+    odd[i[:-1], i[:-1]] += v[1:]
+    return even, odd
+
+
+def _line_levels(params: ModelParams, m: int) -> np.ndarray:
+    """Lowest ``m`` hyperbolic levels from the sinc DVR on [0, L].
+
+    E_top is where the WKB count reaches the even sector's share of the
+    levels plus ``WKB_MARGIN``.  The box holds ``BOX_ACTION`` of decay beyond
+    E_top, and the spacing resolves ``SINC_OVERSAMPLING`` times the largest
+    classical momentum sqrt(E_top - min V).  While the top computed level
+    lies above E_top, E_top is raised and the box widened.
+    """
+    coef = potential_coefficients(params)
+    e_top, v_min = _wkb_top(params, coef, (m + 1) // 2 + WKB_MARGIN)
+    for _ in range(8):
+        edge = _box_edge(params, coef, e_top)
+        n = max(40, math.ceil(SINC_OVERSAMPLING * edge * math.sqrt(e_top - v_min) / math.pi) + 10)
+        h = edge / n
+        energies = _merged_levels(*sinc_sectors(eval_potential(params, h * np.arange(n + 1)), h), m)
+        if energies.max() <= e_top:
+            return energies
+        e_top = v_min + 2.0 * (energies.max() - v_min)
+    raise ConvergenceError("could not find a wide-enough hyperbolic box")
+
+
+def gegenbauer_sectors(params: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of the cell operator on the first ``size``
+    Poschl-Teller functions u_k = cos^eta(x) C_k^(eta)(sin x).
+
+    The C_k^(eta) are orthonormal Gegenbauer polynomials, so the u_k are
+    orthonormal on (-pi/2, pi/2) and -d^2/dx^2 + eta (eta - 1) / cos^2 x is
+    diag((k + eta)^2) (Poschl and Teller, Z. Phys. 83, 143, 1933).  Since
+    tan^2 = sec^2 - 1, the rest of U is quartic (I - J^2)^2 + quadratic
+    (I - J^2) - eta (eta - 1) I, with J the Jacobi matrix of t = sin x.  J is
+    built on size + 4 rows, so the cut to size x size is exact.  u_k has
+    parity (-1)^k.
+    """
+    coef = potential_coefficients(params)
+    eta = params.eta
+    n = np.arange(1.0, size + 4)
+    b = np.sqrt(n * (n + 2.0 * eta - 1.0) / (4.0 * (n + eta) * (n + eta - 1.0)))
+    jacobi = np.diag(b, 1) + np.diag(b, -1)
+    cos2 = np.eye(size + 4) - jacobi @ jacobi
+    h = (coef.quartic * cos2 @ cos2 + coef.quadratic * cos2)[:size, :size]
+    k = np.arange(size)
+    h[k, k] += (k + eta) ** 2 - coef.centrifugal
+    return h[0::2, 0::2], h[1::2, 1::2]
+
+
+def numeric_spectrum(params: ModelParams, m: int = 8) -> NumericSpectrum:
+    """Lowest ``m`` levels with parities, merged from the two sector spectra:
+    the sinc DVR on the hyperbolic line, the Gegenbauer Galerkin on the
+    trigonometric cell with 2 m + 2 floor(8 sqrt(gamma) + 20) functions."""
     if m < 1:
         raise ValueError(f"need at least one level, got m={m}")
-    if grid is None:
-        grid = default_grid(params, m)
-    for _ in range(8):
-        coarse = _sector_levels(params, grid, m)
-        if params.geometry is Geometry.TRIGONOMETRIC:
-            break
-        wall = eval_potential(params, grid.half_width)
-        if wall > 10.0 * max(abs(coarse[-1]), 1.0):
-            break
-        grid = replace(grid, half_width=grid.half_width + 0.5)
+    if params.geometry is Geometry.HYPERBOLIC:
+        energies = _line_levels(params, m)
     else:
-        raise ConvergenceError("could not find a wide-enough hyperbolic box")
-    fine = _sector_levels(params, replace(grid, points=2 * grid.points), m)
-
+        size = 2 * m + 2 * math.floor(8.0 * math.sqrt(params.gamma) + 20.0)
+        energies = _merged_levels(*gegenbauer_sectors(params, size), m)
     parities = [Parity.ODD if i % 2 else Parity.EVEN for i in range(m)]
-    return NumericSpectrum(energies=(4.0 * fine - coarse) / 3.0, parities=parities)
+    return NumericSpectrum(energies=energies, parities=parities)

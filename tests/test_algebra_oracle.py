@@ -16,7 +16,9 @@ from qeswell import (
     Geometry,
     ModelParams,
     heun,
+    family_parity,
     match_che,
+    numeric_spectrum,
     qes_energies_via_determinant,
     qes_energies_via_recurrence,
     rootfind,
@@ -152,6 +154,23 @@ def test_heun_matches_exact_input_roots(geometry, family, gamma, eta, order):
     assert len({mpmath.nstr(r, 30) for r in ref}) == order + 1, "refined roots coincide"
     rel = max(abs(mpmath.mpf(float(g)) - r) / abs(r) for g, r in zip(got, ref))
     assert rel <= 1e-8
+
+
+# the numeric cross-check at MAX_ORDER, where |E| reaches 1.1e4; the
+# finite-difference solver it replaced was 3.5e-4 and 4.3e-2 off here
+@pytest.mark.parametrize(
+    "geometry,family,gamma,eta",
+    [(HYP, Family.TF1, 2.0, 2.0), (TRIG, Family.TF2, 4.0, 0.25)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_numeric_matches_exact_input_roots(geometry, family, gamma, eta):
+    params = ModelParams(geometry, family, gamma, eta, 50)
+    ref = exact_input_energies(params, qes_energies_via_determinant(params))
+    spectrum = numeric_spectrum(params, m=2 * params.order + 4)
+    sector = [e for e, p in zip(spectrum.energies, spectrum.parities) if p is family_parity(family)]
+    got = [min(sector, key=lambda e: abs(e - float(r))) for r in ref]
+    assert len(set(got)) == len(ref)
+    assert max(abs(mpmath.mpf(float(g)) - r) for g, r in zip(got, ref)) <= 1e-9
 
 
 def test_bethe_levels_at_max_order_with_zero_coupling():

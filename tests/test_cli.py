@@ -22,10 +22,14 @@ BASE = ["--geometry", "hyp", "--family", "tf1", "--gamma", "2", "--eta", "2"]
 
 
 def test_import_leaves_scipy_unloaded():
-    # only the numeric solver needs scipy; it imports it on its first solve
+    # only the finite-difference kernels kept for the benchmark's tracer
+    # import scipy; neither the import nor the paper's tables load it
     src = str(Path(qeswell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = "import sys, qeswell.cli; sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = ("import sys; from qeswell import report; [report.reproduce_table(i) for i in (1, 2, 3)]; "
+            "sys.exit(int('scipy.linalg' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 

@@ -1,6 +1,6 @@
 import math
-from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +14,7 @@ from qeswell import (
     eigen_lowest,
     fd_hamiltonian,
     numeric_spectrum,
+    potential_coefficients,
     qes_energies_via_determinant,
 )
 from qeswell import numeric
@@ -66,22 +67,66 @@ class TestOperators:
         assert numeric.mirror_parity(xs * np.exp(-(xs**2))) is Parity.ODD
         assert numeric.mirror_parity(np.exp(-((xs - 0.8) ** 2) * 20)) is None
 
-    @pytest.mark.parametrize("n", (9, 10))
-    def test_sector_blocks_hold_the_full_spectrum(self, rng, n):
-        half = rng.uniform(-1, 3, (n + 1) // 2)
-        diag = np.concatenate([half, half[: n // 2][::-1]])
-        half_off = -rng.uniform(0.1, 1, n // 2)
-        off = np.concatenate([half_off, half_off[: (n - 1) // 2][::-1]])
-        even, odd = numeric.sector_operators(numeric.SymTridiagonal(diag, off))
-        assert even.size == (n + 1) // 2 and odd.size == n // 2
-        sectors = np.concatenate([eigen_lowest(even, even.size), eigen_lowest(odd, odd.size)])
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        assert_allclose(np.sort(sectors), np.linalg.eigvalsh(dense), atol=1e-12)
+    @pytest.mark.parametrize("n", (1, 9, 40))
+    def test_sinc_sectors_hold_the_full_spectrum(self, rng, n):
+        # the full-line DVR on nodes -n..n with a mirror-symmetric potential
+        h = 0.3
+        half = rng.uniform(-1, 3, n + 1)
+        v = np.concatenate([half[:0:-1], half])
+        k = np.arange(-n, n + 1)
+        diff = np.abs(k[:, None] - k)
+        with np.errstate(divide="ignore"):
+            full = np.where(diff == 0, math.pi**2 / 3, 2.0 * (-1.0) ** diff / diff.astype(float) ** 2)
+        full = full / h**2 + np.diag(v)
+        even, odd = numeric.sinc_sectors(half, h)
+        assert even.shape == (n + 1, n + 1) and odd.shape == (n, n)
+        sectors = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd)])
+        assert_allclose(np.sort(sectors), np.linalg.eigvalsh(full), atol=1e-10)
 
     def test_request_too_many(self):
         op = numeric.SymTridiagonal([1.0, 2.0], [0.1])
         with pytest.raises(ValueError):
             eigen_lowest(op, 3)
+
+
+class TestGegenbauerBasis:
+    """The cell matrices against quadrature in the functions
+    u_k = cos^eta(x) C_k^(eta)(sin x) / sqrt(h_k), built from mpmath's
+    Gegenbauer polynomials and their textbook norms h_k."""
+
+    @staticmethod
+    def u(k, eta, x):
+        norm = (mpmath.pi * 2 ** (1 - 2 * eta) * mpmath.gamma(k + 2 * eta)
+                / (mpmath.factorial(k) * (k + eta) * mpmath.gamma(eta) ** 2))
+        return mpmath.cos(x) ** eta * mpmath.gegenbauer(k, eta, mpmath.sin(x)) / mpmath.sqrt(norm)
+
+    @pytest.mark.parametrize("eta", (0.25, 2.0))
+    def test_sectors_match_quadrature(self, eta):
+        # the kinetic and eta (eta - 1) / cos^2 terms give (k + eta)^2; the
+        # rest of U is smooth on the cell
+        p = params(TRIG, gamma=1.5, eta=eta, order=1)
+        coef = potential_coefficients(p)
+        size = 6
+        sectors = numeric.gegenbauer_sectors(p, size)
+
+        def rest(x):
+            c2 = mpmath.cos(x) ** 2
+            return coef.quartic * c2 * c2 + coef.quadratic * c2 - coef.centrifugal
+
+        for parity, block in enumerate(sectors):
+            ks = range(parity, size, 2)
+            expected = [[float(mpmath.quad(lambda x: self.u(j, eta, x) * self.u(k, eta, x) * rest(x),
+                                           [-mpmath.pi / 2, 0, mpmath.pi / 2]))
+                         + (k + eta) ** 2 * (j == k) for k in ks] for j in ks]
+            assert_allclose(block, expected, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("eta", (0.25, 2.0))
+    @pytest.mark.parametrize("k", (0, 3))
+    def test_poschl_teller_eigenfunctions(self, eta, k):
+        for x in (-1.2, 0.3, 1.5):
+            lhs = (-mpmath.diff(lambda t: self.u(k, eta, t), x, 2)
+                   + eta * (eta - 1) / mpmath.cos(x) ** 2 * self.u(k, eta, x))
+            assert abs(lhs - (k + eta) ** 2 * self.u(k, eta, x)) < 1e-8
 
 
 class TestBoxAndOscillator:
@@ -110,18 +155,13 @@ class TestModelSpectra:
         want = [Parity.EVEN, Parity.ODD] * 4
         assert spec.parities == want
 
-    # 6000 points leave an odd count of unknowns (a centre node), 6001 an even
-    # one; the doubled grid of either has a centre node
+    # a larger request raises E_top, so the grid is finer and the box wider
     @pytest.mark.parametrize("m", (1, 2, 7, 8))
-    @pytest.mark.parametrize("points", (6000, 6001))
     @pytest.mark.parametrize("geometry", (HYP, TRIG))
-    def test_sector_split_matches_full_solve(self, geometry, points, m):
+    def test_levels_independent_of_request(self, geometry, m):
         p = params(geometry)
-        grid = replace(numeric.default_grid(p, m), points=points)
-        spec = numeric_spectrum(p, m=m, grid=grid)
-        coarse = eigen_lowest(fd_hamiltonian(p, grid), m)
-        fine = eigen_lowest(fd_hamiltonian(p, replace(grid, points=2 * points)), m)
-        assert_allclose(spec.energies, (4.0 * fine - coarse) / 3.0, rtol=1e-8)
+        spec = numeric_spectrum(p, m=m)
+        assert_allclose(spec.energies, numeric_spectrum(p, m=m + 30).energies[:m], rtol=1e-10, atol=1e-10)
         assert spec.parities == ([Parity.EVEN, Parity.ODD] * m)[:m]
 
     def test_degenerate_doublets_accepted(self):
@@ -130,13 +170,12 @@ class TestModelSpectra:
         assert spec.energies.size == 24
         assert spec.parities[:2] == [Parity.EVEN, Parity.ODD]
 
-    def test_trig_column_small_grid(self):
-        grid = GridConfig(half_width=math.pi / 2, points=3000)
-        spec = numeric_spectrum(params(TRIG), m=4, grid=grid)
+    def test_trig_column(self):
+        spec = numeric_spectrum(params(TRIG), m=4)
         assert_allclose(spec.energies, (22.000, 23.394, 30.368, 38.656), atol=1e-2)
 
-    # eta < 1: the tan^2 term is attractive at the walls; large eta: the
-    # factored power must stay capped, or the matrix norm swamps bisection
+    # eta < 1: the tan^2 term is attractive at the walls; large eta: a
+    # steep repulsive wall
     @pytest.mark.parametrize("order", (0, 2))
     @pytest.mark.parametrize("eta", (0.25, 0.5, 0.75, 20.0, 60.0))
     @pytest.mark.parametrize("gamma", (0.5, 4.0))
@@ -147,11 +186,23 @@ class TestModelSpectra:
         for e_qes in qes_energies_via_determinant(p):
             assert np.min(np.abs(spec.energies - e_qes)) < 1e-3
 
-    def test_automatic_widening(self):
-        # half_width 1.0 leaves the wall below the spectrum; must widen
-        grid = GridConfig(half_width=1.0, points=2000)
-        spec = numeric_spectrum(params(), m=4, grid=grid)
-        assert_allclose(spec.energies, (-22.000, -15.489, -5.186, 7.489), atol=5e-2)
+    def test_automatic_widening(self, monkeypatch):
+        # the deep N = 10 well with a WKB margin of -4 levels: the first E_top
+        # lies below the top requested levels, so the box must widen
+        p = params(order=10)
+        expected = numeric_spectrum(p, m=24).energies
+        edges = []
+        box_edge = numeric._box_edge
+
+        def spy(p, coef, e_top):
+            edges.append(e_top)
+            return box_edge(p, coef, e_top)
+
+        monkeypatch.setattr(numeric, "WKB_MARGIN", -4)
+        monkeypatch.setattr(numeric, "_box_edge", spy)
+        spec = numeric_spectrum(p, m=24)
+        assert len(edges) == 2 and edges[0] < expected[-1] < edges[1]
+        assert_allclose(spec.energies, expected, rtol=1e-10, atol=1e-10)
 
     def test_grid_convergence_order_two(self):
         # halving h must shrink the ground-state error by at least 3.5x

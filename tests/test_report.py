@@ -37,7 +37,7 @@ class TestCrossValidate:
 
     # the numeric cross-check holds up to MAX_ORDER; methods_agree does not
     # yet at these orders, so only the numeric checks are asserted
-    @pytest.mark.parametrize("order", (35, 50))
+    @pytest.mark.parametrize("order", (10, 20, 35, 50))
     @pytest.mark.parametrize("geometry, family", (
         *((HYP, f) for f in Family), (TRIG, Family.TF1), (TRIG, Family.TF2),
     ), ids=lambda v: v.value)
@@ -47,6 +47,17 @@ class TestCrossValidate:
         assert by_name["numeric_embedding"].passed, by_name["numeric_embedding"].deviation
         assert by_name["parity_match"].passed
         assert len(result.matched_indices) == order + 1
+
+    # eta < 1 on the cell, where the finite-difference wall closure that this
+    # check used to run against was 1.5e-2 to 4.4e-2 off from N = 20
+    @pytest.mark.parametrize("order", (20, 35, 50))
+    @pytest.mark.parametrize("gamma", (0.5, 4.0))
+    @pytest.mark.parametrize("family", (Family.TF1, Family.TF2), ids=lambda v: v.value)
+    def test_numeric_embedding_trig_small_eta(self, family, gamma, order):
+        result = cross_validate(params(TRIG, family, gamma, 0.25, order))
+        by_name = {c.name: c for c in result.checks}
+        assert by_name["numeric_embedding"].passed, by_name["numeric_embedding"].deviation
+        assert by_name["parity_match"].passed
 
     def test_anti_isospectral_check(self):
         result = cross_validate(params(family=Family.TF2, order=1))
