@@ -12,8 +12,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import bethe, heun, liealg, numeric, report
 from .core import Family, Geometry, ModelParams
 
@@ -74,10 +72,14 @@ def _cmd_spectrum(args) -> int:
         elif args.format == "csv":
             _print_csv(report.spectrum_to_csv_rows(spectrum, method="all"))
         else:
-            print(f"{'level':>5} {'bethe':>14} {'heun':>14} {'lie':>14}")
-            for i in range(len(methods["bethe"])):
-                print(f"{i:>5} {methods['bethe'][i]:>14.6f} "
-                      f"{methods['heun'][i]:>14.6f} {methods['lie'][i]:>14.6f}")
+            counts = [len(values) for values in methods.values()]
+            print("level" + "".join(f" {name:>14}" for name in methods))
+            for i in range(max(counts)):
+                print(f"{i:>5}" + "".join(f" {values[i]:>14.6f}" if i < len(values) else " " * 15
+                                          for values in methods.values()))
+            if len(set(counts)) > 1:  # then a row need not hold one level
+                print("note: the routes return different level counts: "
+                      + ", ".join(f"{name} {n}" for name, n in zip(methods, counts)))
             for note in spectrum.diagnostics:
                 print(f"note: {note}")
         return 0

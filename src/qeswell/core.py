@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedFamilyError
 
-#: Working cap on the polynomial order; recurrences and polynomial root
-#: extraction degrade in double precision beyond this.  Configurable.
+#: Fixed cap on the polynomial order; recurrences and polynomial root
+#: extraction degrade in double precision beyond this.  The benchmark
+#: (``perfbench/workloads.py``) builds its blocks from orders 0..MAX_ORDER.
 MAX_ORDER = 50
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 spelling

@@ -83,6 +83,16 @@ class NumericSpectrum:
     energies: np.ndarray
     parities: list
 
+    def sector(self, parity: Parity) -> np.ndarray:
+        """The ``parity`` levels, ascending."""
+        return self.energies[sector_indices(parity, self.energies.size)]
+
+
+def sector_indices(parity: Parity, m: int) -> range:
+    """Positions of the ``parity`` levels among the lowest ``m``: the merged
+    spectrum alternates even, odd, even, ... from the ground state."""
+    return range(int(parity is Parity.ODD), m, 2)
+
 
 class SymTridiagonal:
     """Symmetric tridiagonal operator."""

@@ -29,7 +29,6 @@ from .core import (
     Geometry,
     ModelParams,
     Normalization,
-    Parity,
     anti_isospectral_map,
     eval_potential,
     family_parity,
@@ -120,32 +119,15 @@ def _pairwise_deviation(sets):
     return dev
 
 
-def _sector_matches(spectrum: numeric.NumericSpectrum, qes, parity: Parity) -> tuple[list, list, bool]:
-    """Embed the solvable energies ``qes`` in the ``parity`` levels of ``spectrum``.
-
-    Returns the index of each energy's nearest level of ``parity``, each
-    energy's distance to that level, and whether ascending energies land on
-    strictly ascending levels.  A family's solvable levels all lie in its
-    parity sector, so a level of the other sector is never a candidate, even
-    when a tunnelling doublet puts it closer.  A sector with fewer levels
-    than there are energies matches none of them.
-    """
-    sector = np.flatnonzero([p is parity for p in spectrum.parities])
-    if sector.size < len(qes):
-        return [], [], False
-    indices = [int(sector[np.argmin(np.abs(spectrum.energies[sector] - e))]) for e in qes]
-    deviations = [abs(float(spectrum.energies[i]) - float(e)) for i, e in zip(indices, qes)]
-    return indices, deviations, all(i < j for i, j in zip(indices, indices[1:]))
-
-
 def cross_validate(params: ModelParams, tolerances: Tolerances | None = None) -> ValidationReport:
     """Run every solver on ``params`` and compare the results.
 
-    Checks: agreement of the three algebraic routes, sign-flipped equality
-    with the anti-isospectral partner (TF1/TF2 only), one-to-one embedding
-    of the solvable energies in the independent numeric spectrum, and parity of
-    the matched numeric levels.  Solver failures are recorded as failed
-    checks rather than raised.
+    Checks: agreement of the three algebraic routes; solvable level k
+    against level k of the family's parity sector of the independent
+    numeric spectrum (its k Bethe roots in the physical interval are its
+    nodes) and the parity of those levels; for TF1/TF2 with eta > 0, that
+    sector sign-flipped against the partner's.  Solver failures are
+    recorded as failed checks rather than raised.
     """
     tol = tolerances or Tolerances()
     energies: dict = {}
@@ -176,54 +158,57 @@ def cross_validate(params: ModelParams, tolerances: Tolerances | None = None) ->
         )
     )
 
-    if params.family in (Family.TF1, Family.TF2):
-        try:
-            partner = anti_isospectral_map(params)
-            partner_energies = heun.qes_energies_via_determinant(partner)
-            mine = algebraic.get("heun")
-            if mine is None or partner_energies.size != mine.size:
-                raise ValueError("partner level count differs")
-            anti_dev = float(np.max(np.abs(np.sort(partner_energies) + np.sort(mine)[::-1])))
-            checks.append(
-                CheckResult(
-                    "anti_isospectral",
-                    anti_dev <= tol.anti_isospectral,
-                    deviation=anti_dev,
-                    detail="partner energies versus sign-flipped own energies",
-                )
-            )
-        except Exception as exc:
-            checks.append(CheckResult("anti_isospectral", False, detail=repr(exc)))
-
+    parity = family_parity(params.family)
+    solvable = params.order + 1
+    levels = 2 * params.order + 4
     qes = algebraic.get("heun")
+    spectrum = None
     try:
-        spectrum = numeric.numeric_spectrum(params, m=2 * params.order + 4)
+        spectrum = numeric.numeric_spectrum(params, m=levels)
         energies["numeric"] = spectrum.energies.tolist()
         if qes is None:
             raise ValueError("no algebraic energies to embed")
-        want_parity = family_parity(params.family)
-        indices, devs, one_to_one = _sector_matches(spectrum, qes, want_parity)
+        if qes.size != solvable:
+            raise ValueError(f"heun returned {qes.size} energies for {solvable} solvable levels")
+        indices = numeric.sector_indices(parity, levels)[:solvable]
         matched_indices.extend(indices)
         matched_parities.extend(spectrum.parities[i].value for i in indices)
-        max_dev = max(devs, default=0.0)
+        max_dev = float(np.max(np.abs(spectrum.sector(parity)[:solvable] - qes)))
         checks.append(
             CheckResult(
                 "numeric_embedding",
-                max_dev <= tol.numeric_for(params.geometry) and one_to_one,
+                max_dev <= tol.numeric_for(params.geometry),
                 deviation=max_dev,
-                detail="distance of each solvable energy to its nearest numeric level "
-                "of the family's parity; ascending energies must match strictly ascending levels",
+                detail="max_k |solvable energy k - level k of the family's parity sector|",
             )
         )
         checks.append(
             CheckResult(
                 "parity_match",
-                all(p == want_parity.value for p in matched_parities),
-                detail=f"matched numeric levels must be {want_parity.value}",
+                all(p == parity.value for p in matched_parities),
+                detail=f"matched numeric levels must be {parity.value}",
             )
         )
     except Exception as exc:
         checks.append(CheckResult("numeric_embedding", False, detail=repr(exc)))
+
+    # TF3/TF4, and TF1/TF2 at eta <= 0, have no square-integrable partner
+    if spectrum is not None and params.family in (Family.TF1, Family.TF2) and params.eta > 0:
+        try:
+            own = spectrum.sector(parity)[:solvable]
+            partner = numeric.numeric_spectrum(anti_isospectral_map(params), m=levels)
+            image = partner.sector(parity)[solvable - 1::-1]  # partner levels N, ..., 0
+            anti_dev = float(np.max(np.abs(own + image) / np.maximum(1.0, np.abs(own))))
+            checks.append(
+                CheckResult(
+                    "anti_isospectral",
+                    anti_dev <= tol.anti_isospectral,
+                    deviation=anti_dev,
+                    detail="max_k |E_k + E'_(N-k)| / max(1, |E_k|) over the numeric sectors",
+                )
+            )
+        except Exception as exc:
+            checks.append(CheckResult("anti_isospectral", False, detail=repr(exc)))
 
     return ValidationReport(
         params=params,
@@ -249,9 +234,9 @@ def reproduce_table(
 
     id 1: hyperbolic TF1/TF2; id 2: hyperbolic TF3/TF4; id 3: trigonometric
     TF1/TF2; orders 0..2 per family.  Entries matched to a solvable energy
-    display the exact algebraic value and are marked ``qes_exact``.  Raises
-    ``ValueError`` when ``levels`` cannot hold a column's solvable levels on
-    distinct levels of the family's parity.
+    display the exact algebraic value and are marked ``qes_exact``: solvable
+    level k is level k of the family's parity sector.  Raises ``ValueError``
+    when ``levels`` cannot hold a column's solvable levels in that sector.
     """
     if table_id not in TABLE_LAYOUTS:
         raise ValueError(f"table id must be one of {sorted(TABLE_LAYOUTS)}")
@@ -263,15 +248,16 @@ def reproduce_table(
     ]
     columns = []
     for params in params_list:
+        indices = numeric.sector_indices(family_parity(params.family), levels)
+        if len(indices) <= params.order:
+            raise ValueError(
+                f"{levels} levels cannot hold the {params.order + 1} solvable levels of "
+                f"{params.family.value} N={params.order} in its parity sector"
+            )
         spectrum = numeric.numeric_spectrum(params, m=levels)
         qes = heun.qes_energies_via_determinant(params)
-        indices, devs, one_to_one = _sector_matches(spectrum, qes, family_parity(params.family))
-        if not one_to_one:
-            raise ValueError(
-                f"{levels} levels cannot hold the {len(qes)} solvable levels of "
-                f"{params.family.value} N={params.order} one to one"
-            )
-        exact = {i: (float(e), dev) for i, e, dev in zip(indices, qes, devs)}
+        exact = {i: (float(e), abs(float(spectrum.energies[i]) - float(e)))
+                 for i, e in zip(indices, qes)}
         entries = []
         for i, (e_num, parity) in enumerate(zip(spectrum.energies, spectrum.parities)):
             qes_value, deviation = exact.get(i, (None, None))

@@ -166,11 +166,9 @@ def test_heun_matches_exact_input_roots(geometry, family, gamma, eta, order):
 def test_numeric_matches_exact_input_roots(geometry, family, gamma, eta):
     params = ModelParams(geometry, family, gamma, eta, 50)
     ref = exact_input_energies(params, qes_energies_via_determinant(params))
-    spectrum = numeric_spectrum(params, m=2 * params.order + 4)
-    sector = [e for e, p in zip(spectrum.energies, spectrum.parities) if p is family_parity(family)]
-    got = [min(sector, key=lambda e: abs(e - float(r))) for r in ref]
-    assert len(set(got)) == len(ref)
-    assert max(abs(mpmath.mpf(float(g)) - r) for g, r in zip(got, ref)) <= 1e-9
+    # root k is level k of the family's parity sector
+    sector = numeric_spectrum(params, m=2 * params.order + 4).sector(family_parity(family))
+    assert max(abs(mpmath.mpf(float(sector[k])) - r) for k, r in enumerate(ref)) <= 1e-9
 
 
 def test_bethe_levels_at_max_order_with_zero_coupling():

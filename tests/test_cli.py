@@ -40,6 +40,17 @@ class TestSpectrum:
         assert "bethe" in out and "heun" in out and "lie" in out
         assert "-42.000000" in out
 
+    def test_all_methods_table_uneven_counts(self, capsys, monkeypatch):
+        from qeswell import cli
+
+        lie = cli.liealg.qes_energies_via_recurrence
+        monkeypatch.setattr(cli.liealg, "qes_energies_via_recurrence", lambda p: lie(p)[:-1])
+        code, out, _ = run(capsys, "spectrum", *BASE, "--order", "2")
+        assert code == 0
+        assert "note: the routes return different level counts: bethe 3, heun 3, lie 2" in out
+        last = out.splitlines()[3]
+        assert last.split() == ["2", "-35.875485", "-35.875485"]
+
     def test_bethe_json(self, capsys):
         code, out, _ = run(capsys, "spectrum", *BASE, "--order", "2",
                            "--method", "bethe", "--format", "json")
@@ -83,10 +94,12 @@ class TestSpectrum:
 class TestCheck:
     # order 5 at the paper's point puts a tunnelling doublet at the ground
     # state of the hyperbolic well; orders 10 and 20 need the numeric levels
-    # accurate far up the spectrum
+    # accurate far up the spectrum; at eta = -0.5 the anti-isospectral
+    # check is omitted, as hyperbolic TF1 has no partner there
     @pytest.mark.parametrize("geometry, family, eta, order", (
         ("hyp", "tf1", "2", "1"),
         ("trig", "tf1", "0.5", "0"),
+        ("hyp", "tf1", "-0.5", "4"),
         *((geometry, family, "2", order)
           for order in ("5", "10", "20")
           for geometry, family in (("hyp", "tf1"), ("hyp", "tf2"), ("hyp", "tf3"),

@@ -65,6 +65,29 @@ class TestCrossValidate:
         assert by_name["anti_isospectral"].passed
         assert by_name["anti_isospectral"].deviation < 1e-9
 
+    # the partner's numeric sector against the sign-flipped own one
+    @pytest.mark.parametrize("order", (0, 20, 50))
+    @pytest.mark.parametrize("eta", (0.25, 2.0))
+    @pytest.mark.parametrize("gamma", (0.5, 4.0))
+    @pytest.mark.parametrize("geometry, family", (
+        (HYP, Family.TF1), (HYP, Family.TF2), (TRIG, Family.TF1), (TRIG, Family.TF2),
+    ), ids=lambda v: v.value)
+    def test_anti_isospectral_sweep(self, geometry, family, gamma, eta, order):
+        check = next(
+            c for c in cross_validate(params(geometry, family, gamma, eta, order)).checks
+            if c.name == "anti_isospectral"
+        )
+        assert check.passed, check.deviation
+
+    # at eta <= 0 the hyperbolic TF1/TF2 states have no partner on the cell
+    @pytest.mark.parametrize("order", (0, 4, 10))
+    @pytest.mark.parametrize("eta", (-2.0, -0.5, 0.0))
+    @pytest.mark.parametrize("family", (Family.TF1, Family.TF2), ids=lambda v: v.value)
+    def test_no_anti_check_without_partner(self, family, eta, order):
+        result = cross_validate(params(family=family, eta=eta, order=order))
+        assert "anti_isospectral" not in {c.name for c in result.checks}
+        assert result.passed
+
     def test_tf3_embedding_even_parity(self):
         result = cross_validate(params(family=Family.TF3, order=0))
         assert result.passed
@@ -106,9 +129,20 @@ class TestCrossValidate:
         )
         result = cross_validate(params(order=1))
         by_name = {c.name: c for c in result.checks}
-        assert result.matched_indices[0] == result.matched_indices[1]
-        assert by_name["numeric_embedding"].deviation < 1e-3
+        # solvable level k is sector level k, so the second copy meets level 2
+        assert result.matched_indices == [0, 2]
+        assert by_name["numeric_embedding"].deviation > 1.0
         assert not by_name["numeric_embedding"].passed
+
+    def test_level_count_mismatch_fails(self, monkeypatch):
+        from qeswell import report as report_mod
+
+        levels = report_mod.heun.qes_energies_via_determinant(params(order=2))[:-1]
+        monkeypatch.setattr(report_mod.heun, "qes_energies_via_determinant", lambda _: levels)
+        result = cross_validate(params(order=2))
+        by_name = {c.name: c for c in result.checks}
+        assert not by_name["numeric_embedding"].passed
+        assert "2 energies for 3 solvable levels" in by_name["numeric_embedding"].detail
 
 
 class TestTables:
@@ -177,8 +211,7 @@ class TestTables:
         assert "-22.000*" in text
         assert "TF1 N=0" in text
 
-    # fewer levels of the family's parity than its N+1 solvable levels: the
-    # nearest-level match would put two energies on one level
+    # fewer levels of the family's parity sector than its N+1 solvable levels
     @pytest.mark.parametrize("levels, family", ((1, "TF1 N=1"), (5, "TF2 N=2")))
     def test_too_few_levels_rejected(self, levels, family):
         with pytest.raises(ValueError, match=family):
